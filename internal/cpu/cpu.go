@@ -747,12 +747,13 @@ func (c *Core) NextEvent(now mem.Cycle) mem.Cycle {
 }
 
 // SkipIdle integrates per-cycle core statistics for k skipped idle
-// cycles following cycle now (exact — see NextEvent): the cycle
-// counter always runs, and an LQ-blocked staged instruction counts an
-// LQFullCycles for every skipped cycle dispatch would have attempted
-// (those at or past stallUntil).
-func (c *Core) SkipIdle(now, k mem.Cycle) {
-	c.now = now + k
+// cycles following the core's current cycle (exact — see NextEvent):
+// the cycle counter always runs, and an LQ-blocked staged instruction
+// counts an LQFullCycles for every skipped cycle dispatch would have
+// attempted (those at or past stallUntil).
+func (c *Core) SkipIdle(k mem.Cycle) {
+	now := c.now
+	c.now += k
 	c.Stats.Cycles += uint64(k)
 	if c.hasStaged && c.lqFree == 0 && c.count < len(c.rob) {
 		attempts := k

@@ -1,25 +1,26 @@
 // Package event provides the calendar queue at the heart of the
-// discrete-event simulation core: a monotonic priority queue of
-// per-component wakeups keyed by (cycle, rank).
+// discrete-event simulation core: per-component wakeups keyed by
+// (cycle, rank).
 //
-// Each rank is a component's fixed position in the machine's tick
-// order (core < GM < L1D < L2 < LLC < DRAM) and has at most one live
-// scheduled wake. Ties at the same cycle pop in ascending rank order,
-// which is what keeps the event-driven engine's tick order — and
-// therefore every campaign byte — deterministic: two components due on
-// the same cycle always tick in the same order the lockstep engine
-// ticked them.
+// Each rank is a component's fixed position in a domain's tick order
+// (core < GM < L1D < L2 < LLC < DRAM on a single-core machine) and has
+// at most one live scheduled wake. The domain asks the queue for the
+// earliest wake (Next), jumps there, and then visits its ranks in
+// ascending order, ticking those whose wake is due (At). Ties at the
+// same cycle therefore tick in rank order, which is what keeps the
+// event-driven engine's tick order — and therefore every campaign byte
+// — deterministic: two components due on the same cycle always tick in
+// the same order the lockstep engine ticked them.
 //
-// The implementation is deliberately not a binary heap. The machine
-// has six ranks, and the common case is several ranks rescheduling to
-// now+1 every cycle; a heap pays push/sift/stale-pop churn per
-// reschedule, while a linear min-scan over the per-rank table is six
+// The implementation is deliberately not a binary heap. A domain has at
+// most eight ranks, and the common case is several ranks rescheduling
+// to now+1 every cycle; a heap pays push/sift/stale-pop churn per
+// reschedule, while a linear min-scan over the per-rank table is a few
 // predictable compares with no bookkeeping. (Profiling the bench
 // scenario showed the heap variant spending ~8% of the whole run on
 // heap maintenance.) The priority-queue *semantics* — earliest cycle
-// first, rank-order tie-break, reschedule/cancel — are what the engine
-// and the tests pin down; O(n) per operation is the right constant for
-// n = 6.
+// first, reschedule/cancel — are what the engine and the tests pin
+// down; O(n) per operation is the right constant for n <= 8.
 package event
 
 import "secpref/internal/mem"
@@ -37,9 +38,6 @@ func New(ranks int) *Queue {
 	}
 	return q
 }
-
-// Ranks returns the number of ranks the queue was built for.
-func (q *Queue) Ranks() int { return len(q.at) }
 
 // At returns rank's currently scheduled wake cycle, or mem.NoEvent.
 func (q *Queue) At(rank int) mem.Cycle { return q.at[rank] }
@@ -61,24 +59,4 @@ func (q *Queue) Next() mem.Cycle {
 		}
 	}
 	return next
-}
-
-// PopDue unschedules and appends to dst every rank whose wake is at or
-// before now, in ascending (cycle, rank) order, and returns dst.
-func (q *Queue) PopDue(now mem.Cycle, dst []int) []int {
-	for {
-		// Strict < while scanning in rank order yields the lowest rank
-		// among ties — the deterministic tie-break.
-		best, bestAt := -1, mem.NoEvent
-		for r, at := range q.at {
-			if at <= now && at < bestAt {
-				best, bestAt = r, at
-			}
-		}
-		if best < 0 {
-			return dst
-		}
-		q.at[best] = mem.NoEvent
-		dst = append(dst, best)
-	}
 }

@@ -2,10 +2,25 @@ package event
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"secpref/internal/mem"
 )
+
+// popDue is the engine's access pattern: visit the ranks in ascending
+// order, take every one whose wake is at or before now, and unschedule
+// it (the engine then reschedules the ones that ticked).
+func popDue(q *Queue, ranks int, now mem.Cycle) []int {
+	var due []int
+	for r := 0; r < ranks; r++ {
+		if q.At(r) <= now {
+			due = append(due, r)
+			q.Cancel(r)
+		}
+	}
+	return due
+}
 
 func TestOrdering(t *testing.T) {
 	q := New(4)
@@ -18,13 +33,10 @@ func TestOrdering(t *testing.T) {
 	}
 	var order []int
 	for q.Next() != mem.NoEvent {
-		order = q.PopDue(q.Next(), order)
+		order = append(order, popDue(q, 4, q.Next())...)
 	}
-	want := []int{3, 1, 2, 0}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("drain order = %v, want %v", order, want)
-		}
+	if want := []int{3, 1, 2, 0}; !slices.Equal(order, want) {
+		t.Fatalf("drain order = %v, want %v", order, want)
 	}
 	if got := q.Next(); got != mem.NoEvent {
 		t.Fatalf("drained queue Next() = %d, want NoEvent", got)
@@ -32,23 +44,24 @@ func TestOrdering(t *testing.T) {
 }
 
 func TestTieBreakByRank(t *testing.T) {
-	// Duplicate timestamps must pop in ascending rank order regardless
-	// of scheduling order: this is what pins the engine's tick order.
-	q := New(5)
+	// Duplicate timestamps must come due together and be visited in
+	// ascending rank order regardless of scheduling order: this is what
+	// pins the engine's tick order.
+	q := New(6)
 	q.Schedule(3, 100)
 	q.Schedule(0, 100)
 	q.Schedule(4, 100)
 	q.Schedule(1, 100)
 	q.Schedule(2, 100)
-	got := q.PopDue(100, nil)
-	want := []int{0, 1, 2, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("PopDue = %v, want %v", got, want)
+	q.Schedule(5, 101)
+	if got := q.Next(); got != 100 {
+		t.Fatalf("Next() = %d, want 100", got)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("PopDue = %v, want %v", got, want)
-		}
+	if got, want := popDue(q, 6, q.Next()), []int{0, 1, 2, 3, 4}; !slices.Equal(got, want) {
+		t.Fatalf("due at 100 = %v, want %v", got, want)
+	}
+	if got := q.Next(); got != 101 {
+		t.Fatalf("after the tie, Next() = %d, want 101", got)
 	}
 }
 
@@ -79,15 +92,16 @@ func TestCancelReschedule(t *testing.T) {
 	}
 	// A drained rank can be scheduled again.
 	q.Schedule(2, 7)
-	if got := q.PopDue(7, nil); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("PopDue = %v, want [2]", got)
+	if got := popDue(q, 3, 7); !slices.Equal(got, []int{2}) {
+		t.Fatalf("due at 7 = %v, want [2]", got)
 	}
 }
 
 // naiveCalendar is an independent model: a plain per-rank table whose
 // pop is a literal "find minimum, prefer lowest rank" loop written the
-// obvious way. The fuzz test drives Queue and the model with the same
-// random schedule/cancel/pop mix and demands identical observations.
+// obvious way. The fuzz test drives Queue (through the engine's
+// Next/At/Cancel pattern) and the model with the same random
+// schedule/cancel/pop mix and demands identical observations.
 type naiveCalendar struct {
 	at []mem.Cycle
 }
@@ -154,15 +168,8 @@ func TestFuzzVsNaiveMinScan(t *testing.T) {
 					continue
 				}
 				now = next
-				got := q.PopDue(now, nil)
-				want := model.popDue(now)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d op %d: PopDue = %v, model = %v", trial, op, got, want)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("trial %d op %d: PopDue = %v, model = %v", trial, op, got, want)
-					}
+				if got, want := popDue(q, ranks, now), model.popDue(now); !slices.Equal(got, want) {
+					t.Fatalf("trial %d op %d: due = %v, model = %v", trial, op, got, want)
 				}
 			}
 			// Per-rank schedules must agree at every step.

@@ -10,9 +10,9 @@ import (
 )
 
 // TestDebugMulticoreWedge reproduces a wedged 4-core run with state
-// dumps (diagnostic harness). It drives the sharded system's lockstep
-// reference path by hand so every private queue is inspectable at the
-// wedge cycle.
+// dumps (diagnostic harness). It steps the sharded system's reference
+// engine one cycle at a time by hand so every private queue is
+// inspectable at the wedge cycle.
 func TestDebugMulticoreWedge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -37,6 +37,10 @@ func TestDebugMulticoreWedge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, m := range sys.Cores {
+		m.UseReferenceEngine(true)
+	}
+	sys.Shared.UseReferenceEngine(true)
 	llc := sys.Shared.LLC()
 	var now mem.Cycle
 	var lastSum uint64
@@ -44,9 +48,9 @@ func TestDebugMulticoreWedge(t *testing.T) {
 	for {
 		now++
 		for _, m := range sys.Cores {
-			m.StepCore(now)
+			m.AdvanceCore(now, 0)
 		}
-		sys.Shared.LockstepCycle(now)
+		sys.Shared.Advance(now)
 		var sum uint64
 		allDone := true
 		for _, m := range sys.Cores {

@@ -246,6 +246,7 @@ func NewEngine(cfg Config, mix []trace.Source, p Probes) (*Engine, error) {
 		for _, m := range sys.Cores {
 			m.UseReferenceEngine(true)
 		}
+		sys.Shared.UseReferenceEngine(true)
 	}
 	e.target = uint64(cfg.Single.WarmupInstrs)
 	if e.target == 0 {
@@ -272,7 +273,7 @@ func NewEngine(cfg Config, mix []trace.Source, p Probes) (*Engine, error) {
 			e.profiles = append(e.profiles, prof)
 		}
 		shProf := observatory.NewProfile(sim.ShardProfileRanks[:]...)
-		sys.Shared.AttachProfile(shProf)
+		sys.Shared.AttachShardProfile(shProf)
 		e.profiles = append(e.profiles, shProf)
 		e.finalProfile = p.Profile
 	}
@@ -524,9 +525,9 @@ func (e *Engine) stepEpoch(limit mem.Cycle) error {
 func (e *Engine) stepLockstep() error {
 	u := e.now + 1
 	for _, m := range e.sys.Cores {
-		m.StepCore(u)
+		m.AdvanceCore(u, 0)
 	}
-	e.sys.Shared.LockstepCycle(u)
+	e.sys.Shared.Advance(u)
 	e.now = u
 
 	if e.tracker != nil {

@@ -64,12 +64,12 @@ type Profile struct {
 
 	Ranks []RankProfile
 
-	// Advances counts advanceTo calls (event engine) or steps
-	// (lockstep); VisitedCycles counts cycles processed in rank order;
-	// SkippedCycles counts gap cycles absorbed in O(1);
+	// Advances counts domain advances: event-engine visits or
+	// reference-engine steps; VisitedCycles counts cycles processed in
+	// rank order; SkippedCycles counts gap cycles absorbed in O(1);
 	// ClampedAdvances counts advances whose jump target was clamped
 	// below the calendar's earliest wake (wedge window, cycle budget,
-	// or digest boundary).
+	// digest boundary or barrier).
 	Advances        uint64
 	VisitedCycles   uint64
 	SkippedCycles   uint64

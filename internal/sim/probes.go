@@ -143,8 +143,22 @@ func (m *Machine) sampleWindow() {
 	}
 	m.winObs.Window(s)
 	m.winLast = s.Instructions
+	for m.winNext <= s.Instructions {
+		m.winNext += m.winEvery
+	}
 	if m.prof != nil {
 		m.prof.TrackSample(uint64(m.now))
+	}
+}
+
+// checkWindow samples the window series when the retired instruction
+// count crossed the next boundary. Every run loop calls it after every
+// advance; instructions only retire on core ticks, so the crossing cycle
+// is always visited and the sample point is engine-invariant (and, on
+// sharded systems, worker- and interval-invariant).
+func (m *Machine) checkWindow() {
+	if m.winObs != nil && m.core.Stats.Instructions >= m.winNext {
+		m.sampleWindow()
 	}
 }
 
@@ -165,11 +179,9 @@ func RunProbed(cfg Config, src trace.Source, p Probes) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.ReferenceEngine {
-		m.noSkip = true
-	}
+	m.noSkip = p.ReferenceEngine
 	m.attachObserver(p.Observer)
-	m.attachProfile(p.Profile)
+	m.attachProfile(p.Profile, rankNames[:])
 	m.armDigests(p.Digest, p.DigestEvery)
 	maxCycles := cfg.MaxCycles
 	if maxCycles == 0 {

@@ -16,14 +16,9 @@ package sim
 
 import (
 	"secpref/internal/cache"
-	seccore "secpref/internal/core"
-	"secpref/internal/cpu"
 	"secpref/internal/dram"
-	"secpref/internal/event"
-	"secpref/internal/ghostminion"
 	"secpref/internal/mem"
 	"secpref/internal/observatory"
-	"secpref/internal/tlb"
 	"secpref/internal/trace"
 )
 
@@ -33,25 +28,11 @@ import (
 // interval.
 const DefaultLinkLatency mem.Cycle = 24
 
-// rankLink is the link's slot in a private core system's calendar: it
-// occupies the position the LLC holds in the single-core rank order
-// (core < GM < L1D < L2 < link), so cross-component clock reads behave
-// exactly as they do in the lockstep reference.
-const rankLink = rankLLC
-
 // ShardProfileRanks names the attribution ranks of a sharded multicore
 // run. Indices 0-5 match the single-core vocabulary (so campaign
 // aggregates mixing single- and multi-core runs line up); the link is
 // appended as rank 6.
 var ShardProfileRanks = [...]string{"core", "gm", "l1d", "l2", "llc", "dram", "link"}
-
-// profileRank maps a private calendar rank to its attribution index.
-func profileRank(r int) int {
-	if r == rankLink {
-		return 6
-	}
-	return r
-}
 
 // linkEntry is one buffered request: at is the issue cycle on the
 // outbound path and the visibility cycle on the inbound path.
@@ -78,7 +59,7 @@ type CoreLink struct {
 	lat    mem.Cycle
 	shared *SharedDomain // for the response-visibility stamp
 
-	now mem.Cycle // core-domain clock, stamped onto outbound requests
+	now *mem.Cycle // the core domain's clock, stamped onto outbound requests
 
 	// kindCounts tallies outbound requests by mem.Kind — the per-core
 	// shared-link traffic the interference observatory samples at
@@ -109,7 +90,7 @@ type CoreLink struct {
 func (l *CoreLink) Enqueue(r *mem.Request) bool {
 	r.Core = l.core
 	l.kindCounts[r.Kind]++
-	l.out = append(l.out, linkEntry{at: l.now, req: r})
+	l.out = append(l.out, linkEntry{at: *l.now, req: r})
 	return true
 }
 
@@ -234,20 +215,13 @@ func (l *CoreLink) StateDigest() uint64 {
 	return d.Sum()
 }
 
-// Shared-domain calendar ranks.
-const (
-	sharedRankLLC = iota
-	sharedRankDRAM
-	numSharedRanks
-)
-
-// SharedDomain is the serial half of a sharded system: the shared LLC,
-// the DRAM channel, and the deterministic drain that merges the cores'
-// buffered requests. It only ever runs between core phases, on one
-// goroutine.
+// SharedDomain is the serial half of a sharded system: a domain of the
+// shared LLC and the DRAM channel, with the deterministic drain that
+// merges the cores' buffered requests running before the LLC's rank.
+// It only ever runs between core phases, on one goroutine.
 type SharedDomain struct {
+	domain
 	llc   *cache.Cache
-	dram  *dram.DRAM
 	links []*CoreLink
 	seed  uint64
 
@@ -255,13 +229,7 @@ type SharedDomain struct {
 	// requests at drain time (wedge-injection test hook).
 	BlackHole int
 
-	now      mem.Cycle
-	evq      *event.Queue
-	primed   bool
-	lastWake [numSharedRanks]uint64
-	stall    []bool // per-core head-of-line stall, valid within one drain cycle
-
-	prof *observatory.Profile
+	stall []bool // per-core head-of-line stall, valid within one drain cycle
 }
 
 // LLC exposes the shared cache (diagnostics and stats snapshots).
@@ -270,21 +238,6 @@ func (s *SharedDomain) LLC() *cache.Cache { return s.llc }
 // DRAM exposes the shared memory channel (observer attachment and
 // stats snapshots).
 func (s *SharedDomain) DRAM() *dram.DRAM { return s.dram }
-
-// Now returns the cycle the shared domain has completed.
-func (s *SharedDomain) Now() mem.Cycle { return s.now }
-
-// AttachProfile arms attribution profiling for the shared ranks.
-func (s *SharedDomain) AttachProfile(p *observatory.Profile) {
-	if p == nil {
-		return
-	}
-	p.EnsureRanks(ShardProfileRanks[:])
-	if p.EngineVersion == "" {
-		p.EngineVersion = EngineVersion
-	}
-	s.prof = p
-}
 
 // StateDigests appends the shared components' digests (LLC, DRAM).
 func (s *SharedDomain) StateDigests(dst []uint64) []uint64 {
@@ -357,117 +310,15 @@ func (s *SharedDomain) drain(t mem.Cycle) {
 	}
 }
 
-// LockstepCycle advances the shared domain one cycle: arrivals first
-// (the L2-to-LLC hand-off happens before the LLC's tick, exactly as the
-// single-core rank order has it), then the LLC and the channel.
-func (s *SharedDomain) LockstepCycle(u mem.Cycle) {
-	s.now = u
-	s.drain(u)
-	s.llc.Tick(u)
-	s.dram.Tick(u)
-}
-
 // Advance runs the shared domain from its current cycle to exactly
-// `to`, event-driven: idle gaps are integrated with SkipIdle, visited
-// cycles drain arrivals and tick whichever of LLC/DRAM is due or was
-// poked. Bit-identical to calling LockstepCycle for every cycle.
+// `to`: on the event engine idle gaps are integrated with SkipIdle and
+// visited cycles drain arrivals and tick whichever of LLC/DRAM is due
+// or was poked. Bit-identical to the reference engine's every-cycle
+// step.
 func (s *SharedDomain) Advance(to mem.Cycle) {
-	if s.now >= to {
-		return
-	}
-	// Prime once: between phases the cores only append to their links'
-	// outbound buffers (seen by nextArrival each iteration), never touch
-	// the LLC or DRAM, so the calendar from the previous phase is still
-	// exact.
-	if !s.primed {
-		s.evq.Schedule(sharedRankLLC, s.llc.NextEvent(s.now))
-		s.lastWake[sharedRankLLC] = s.llc.WakeCount()
-		s.evq.Schedule(sharedRankDRAM, s.dram.NextEvent(s.now))
-		s.lastWake[sharedRankDRAM] = s.dram.WakeCount()
-		s.primed = true
-	}
-
+	s.resume()
 	for s.now < to {
-		next := s.evq.Next()
-		if a := s.nextArrival(); a < next {
-			next = a
-		}
-		if next > to {
-			// Provably idle through the phase boundary: integrate and stop.
-			k := to - s.now
-			s.llc.SkipIdle(k)
-			s.dram.SkipIdle(k)
-			s.now = to
-			if s.prof != nil {
-				s.prof.Gap(uint64(k))
-			}
-			return
-		}
-		s.advanceSharedTo(next)
-	}
-}
-
-// advanceSharedTo skips the provably idle gap and processes cycle t.
-func (s *SharedDomain) advanceSharedTo(t mem.Cycle) {
-	if k := t - s.now - 1; k > 0 {
-		s.llc.SkipIdle(k)
-		s.dram.SkipIdle(k)
-		s.now += k
-		if s.prof != nil {
-			s.prof.Gap(uint64(k))
-		}
-	}
-	s.now = t
-	if s.prof != nil {
-		s.prof.Advance(false)
-	}
-	s.drain(t)
-
-	var ticked [numSharedRanks]bool
-	{
-		due := s.evq.At(sharedRankLLC) <= t
-		woke := s.llc.WakeCount() != s.lastWake[sharedRankLLC]
-		if due || woke {
-			s.llc.Tick(t)
-			ticked[sharedRankLLC] = true
-		} else {
-			s.llc.SkipIdle(1)
-		}
-		if s.prof != nil {
-			s.prof.Visit(rankLLC, ticked[sharedRankLLC], due, woke, false)
-		}
-	}
-	{
-		due := s.evq.At(sharedRankDRAM) <= t
-		woke := s.dram.WakeCount() != s.lastWake[sharedRankDRAM]
-		if due || woke {
-			s.dram.Tick(t)
-			ticked[sharedRankDRAM] = true
-		} else {
-			s.dram.SkipIdle(1)
-		}
-		if s.prof != nil {
-			s.prof.Visit(rankDRAM, ticked[sharedRankDRAM], due, woke, false)
-		}
-	}
-
-	if ticked[sharedRankLLC] || s.llc.WakeCount() != s.lastWake[sharedRankLLC] {
-		s.evq.Schedule(sharedRankLLC, s.llc.NextEvent(t))
-		s.lastWake[sharedRankLLC] = s.llc.WakeCount()
-		if s.prof != nil {
-			s.prof.Rearm(rankLLC, true)
-		}
-	} else if s.prof != nil {
-		s.prof.Rearm(rankLLC, false)
-	}
-	if ticked[sharedRankDRAM] || s.dram.WakeCount() != s.lastWake[sharedRankDRAM] {
-		s.evq.Schedule(sharedRankDRAM, s.dram.NextEvent(t))
-		s.lastWake[sharedRankDRAM] = s.dram.WakeCount()
-		if s.prof != nil {
-			s.prof.Rearm(rankDRAM, true)
-		}
-	} else if s.prof != nil {
-		s.prof.Rearm(rankDRAM, false)
+		s.advance(to)
 	}
 }
 
@@ -515,14 +366,9 @@ func BuildSharded(cfg Config, cores int, mix []trace.Source, linkLat mem.Cycle, 
 	channel.SetPool(sharedPool)
 	llc.SetPool(sharedPool)
 
-	shared := &SharedDomain{
-		llc:       llc,
-		dram:      channel,
-		seed:      seed,
-		BlackHole: -1,
-		evq:       event.New(numSharedRanks),
-		stall:     make([]bool, cores),
-	}
+	shared := &SharedDomain{llc: llc, seed: seed, BlackHole: -1, stall: make([]bool, cores)}
+	shared.domain = newDomain(nil, []*cache.Cache{llc}, channel, nil)
+	shared.arrivals = shared
 
 	sys := &ShardedSystem{Shared: shared, LinkLatency: linkLat}
 	for i := 0; i < cores; i++ {
@@ -532,87 +378,19 @@ func BuildSharded(cfg Config, cores int, mix []trace.Source, linkLat mem.Cycle, 
 		// budget keep running (and keep contending for the shared LLC
 		// and DRAM) until the slowest core finishes, as in ChampSim.
 		src := trace.Repeat(trace.Offset(mix[i], mem.Addr(i)<<40), 1<<62)
-		link := &CoreLink{core: i, lat: linkLat, shared: shared}
-		pool := &mem.RequestPool{}
-		m := &Machine{cfg: cfg, pool: pool}
-		m.mem = channel
-		m.llc = llc
-		m.link = link
+		m := &Machine{cfg: cfg, pool: &mem.RequestPool{}, mem: channel, llc: llc}
+		link := &CoreLink{core: i, lat: linkLat, shared: shared, now: &m.now}
 		m.l2 = cache.New(cfg.L2, link)
 		m.l1d = cache.New(cfg.L1D, m.l2)
-		var loadPort cpu.LoadPort = l1dLoadPort{m.l1d}
-		if cfg.Secure {
-			var filter ghostminion.Filter = ghostminion.FullUpdate{}
-			if cfg.SUF {
-				m.suf = new(seccore.SUF)
-				filter = m.suf
-			}
-			m.gm = ghostminion.New(cfg.GM, m.l1d, filter)
-			loadPort = m.gm
-		}
-		m.core = cpu.New(cfg.Core, src, loadPort, l1dStorePort{m.l1d})
-		if !cfg.DisableTLB {
-			m.tlbs = tlb.New(cfg.TLB)
-			m.core.TLB = m.tlbs
-		}
-		if err := m.buildPrefetcher(); err != nil {
+		if err := m.buildCore(src, true); err != nil {
 			return nil, err
 		}
-		m.core.SetPool(pool)
-		if m.gm != nil {
-			m.gm.SetPool(pool)
-		}
-		m.l1d.SetPool(pool)
-		m.l2.SetPool(pool)
-		m.wireCommit()
+		m.domain = newDomain([]corePair{{core: m.core, gm: m.gm}}, []*cache.Cache{m.l1d, m.l2}, nil, link)
 		sys.Cores = append(sys.Cores, m)
 		shared.links = append(shared.links, link)
 	}
 	sys.Links = shared.links
 	return sys, nil
-}
-
-// StepCore advances this core's private domain one cycle: the core,
-// its GM, L1D, L2, and finally the link's response injection — the
-// lockstep reference order the event-driven advance reproduces.
-func (m *Machine) StepCore(u mem.Cycle) {
-	m.now = u
-	m.link.now = u
-	m.core.Tick(u)
-	if m.gm != nil {
-		m.gm.Tick(u)
-	}
-	m.l1d.Tick(u)
-	m.l2.Tick(u)
-	m.link.Inject(u)
-	m.checkCoreWindow()
-}
-
-// checkCoreWindow samples the per-core window series when the retired
-// instruction count crossed the next boundary. Both sharded engines
-// call it at every visited cycle; instructions only retire on core
-// ticks, so the crossing cycle is always visited and the sample point
-// is engine-, worker-, and interval-invariant.
-func (m *Machine) checkCoreWindow() {
-	if m.winObs != nil && m.core.Stats.Instructions >= m.winNext {
-		m.sampleWindow()
-		for m.core.Stats.Instructions >= m.winNext {
-			m.winNext += m.winEvery
-		}
-	}
-}
-
-// AttachShardProfile arms attribution profiling with the multicore rank
-// vocabulary (ShardProfileRanks).
-func (m *Machine) AttachShardProfile(p *observatory.Profile) {
-	if p == nil {
-		return
-	}
-	p.EnsureRanks(ShardProfileRanks[:])
-	if p.EngineVersion == "" {
-		p.EngineVersion = EngineVersion
-	}
-	m.prof = p
 }
 
 // PrivateDigests appends this core's private-component state digests in
@@ -635,191 +413,24 @@ func (m *Machine) PrivateDigests(dst []uint64) []uint64 {
 	return append(dst, comps[:]...)
 }
 
-// primePrivate (re)builds the private calendar: core, GM, L1D, L2 at
-// their own NextEvent, the link at its next response visibility. The
-// DRAM rank is cancelled — the shared domain is not this machine's to
-// schedule.
-func (m *Machine) primePrivate() {
-	if m.evq == nil {
-		m.evq = event.New(numRanks)
-	}
-	m.evq.Schedule(rankCore, m.core.NextEvent(m.now))
-	m.lastWake[rankCore] = m.core.WakeCount()
-	if m.gm != nil {
-		m.evq.Schedule(rankGM, m.gm.NextEvent(m.now))
-		m.lastWake[rankGM] = m.gm.WakeCount()
-		m.lastGMVer = m.gm.StateVersion()
-	}
-	m.evq.Schedule(rankL1D, m.l1d.NextEvent(m.now))
-	m.lastWake[rankL1D] = m.l1d.WakeCount()
-	m.evq.Schedule(rankL2, m.l2.NextEvent(m.now))
-	m.lastWake[rankL2] = m.l2.WakeCount()
-	m.evq.Schedule(rankLink, m.link.NextInject(m.now))
-	m.evq.Cancel(rankDRAM)
-}
-
 // AdvanceCore advances the private domain to exactly cycle `to`. When
 // target > 0 the advance pauses at the first cycle the retired
 // instruction count reaches target (the multicore engine's stop
 // staging: the barrier computes the global stop cycle from the pause
 // cycles, then resumes). Returns the cycle reached and whether the
-// target was hit. Uses the lockstep reference when the machine's
+// target was hit. Steps the lockstep reference when the machine's
 // reference engine is selected.
 func (m *Machine) AdvanceCore(to mem.Cycle, target uint64) (mem.Cycle, bool) {
 	if target > 0 && m.core.Stats.Instructions >= target {
 		return m.now, true
 	}
-	if m.noSkip {
-		for m.now < to {
-			m.StepCore(m.now + 1)
-			if target > 0 && m.core.Stats.Instructions >= target {
-				return m.now, true
-			}
-		}
-		return m.now, false
-	}
-	// Prime once; on later epochs only the link rank can have gained an
-	// event from outside (responses completed by the shared domain
-	// between core phases) — every other rank's schedule is still exact
-	// because nothing but this goroutine touches those components.
-	if !m.shardPrimed {
-		m.primePrivate()
-		m.shardPrimed = true
-	} else {
-		m.evq.Schedule(rankLink, m.link.NextInject(m.now))
-	}
+	m.resume()
 	for m.now < to {
-		next := m.evq.Next()
-		clamped := false
-		if next > to {
-			next, clamped = to, true
-		}
-		m.advancePrivateTo(next)
-		m.checkCoreWindow()
-		if m.prof != nil {
-			m.prof.Advance(clamped)
-		}
+		m.advance(to)
+		m.checkWindow()
 		if target > 0 && m.core.Stats.Instructions >= target {
 			return m.now, true
 		}
 	}
 	return m.now, false
-}
-
-// advancePrivateTo is advanceTo for the private ranks: gap-skip the
-// provably idle stretch, then process cycle t in rank order — core, GM,
-// L1D, L2, link injection — with the same due/woke/version tick
-// conditions and conditional re-arms as the single-core engine.
-func (m *Machine) advancePrivateTo(t mem.Cycle) {
-	if k := t - m.now - 1; k > 0 {
-		m.core.SkipIdle(m.now, k)
-		if m.gm != nil {
-			m.gm.SkipIdle(k)
-		}
-		m.l1d.SkipIdle(k)
-		m.l2.SkipIdle(k)
-		m.now += k
-		if m.prof != nil {
-			m.prof.Gap(uint64(k))
-		}
-	}
-	m.now = t
-	m.link.now = t
-	var ticked [numRanks]bool
-
-	{
-		due := m.evq.At(rankCore) <= t
-		woke := m.core.WakeCount() != m.lastWake[rankCore]
-		ver := m.gm != nil && m.gm.StateVersion() != m.lastGMVer
-		if due || woke || ver {
-			m.core.Tick(t)
-			ticked[rankCore] = true
-		} else {
-			m.core.SkipIdle(t-1, 1)
-		}
-		if m.prof != nil {
-			m.prof.Visit(rankCore, ticked[rankCore], due, woke, ver)
-		}
-	}
-	if m.gm != nil {
-		due := m.evq.At(rankGM) <= t
-		woke := m.gm.WakeCount() != m.lastWake[rankGM]
-		if due || woke {
-			m.gm.Tick(t)
-			ticked[rankGM] = true
-		} else {
-			m.gm.SkipIdle(1)
-		}
-		if m.prof != nil {
-			m.prof.Visit(rankGM, ticked[rankGM], due, woke, false)
-		}
-	}
-	caches := [...]*cache.Cache{m.l1d, m.l2}
-	for i, c := range caches {
-		r := rankL1D + i
-		due := m.evq.At(r) <= t
-		woke := c.WakeCount() != m.lastWake[r]
-		if due || woke {
-			c.Tick(t)
-			ticked[r] = true
-		} else {
-			c.SkipIdle(1)
-		}
-		if m.prof != nil {
-			m.prof.Visit(r, ticked[r], due, woke, false)
-		}
-	}
-	{
-		due := m.evq.At(rankLink) <= t
-		if due {
-			m.link.Inject(t)
-			ticked[rankLink] = true
-		}
-		if m.prof != nil {
-			m.prof.Visit(profileRank(rankLink), ticked[rankLink], due, false, false)
-		}
-	}
-
-	// Conditional re-arms, as in advanceTo: a rank that ticked or was
-	// poked this cycle gets a fresh schedule.
-	if ticked[rankCore] || m.core.WakeCount() != m.lastWake[rankCore] ||
-		(m.gm != nil && m.gm.StateVersion() != m.lastGMVer) {
-		m.evq.Schedule(rankCore, m.core.NextEvent(t))
-		m.lastWake[rankCore] = m.core.WakeCount()
-		if m.gm != nil {
-			m.lastGMVer = m.gm.StateVersion()
-		}
-		if m.prof != nil {
-			m.prof.Rearm(rankCore, true)
-		}
-	} else if m.prof != nil {
-		m.prof.Rearm(rankCore, false)
-	}
-	if m.gm != nil {
-		if ticked[rankGM] || m.gm.WakeCount() != m.lastWake[rankGM] {
-			m.evq.Schedule(rankGM, m.gm.NextEvent(t))
-			m.lastWake[rankGM] = m.gm.WakeCount()
-			if m.prof != nil {
-				m.prof.Rearm(rankGM, true)
-			}
-		} else if m.prof != nil {
-			m.prof.Rearm(rankGM, false)
-		}
-	}
-	for i, c := range caches {
-		r := rankL1D + i
-		if ticked[r] || c.WakeCount() != m.lastWake[r] {
-			m.evq.Schedule(r, c.NextEvent(t))
-			m.lastWake[r] = c.WakeCount()
-			if m.prof != nil {
-				m.prof.Rearm(r, true)
-			}
-		} else if m.prof != nil {
-			m.prof.Rearm(r, false)
-		}
-	}
-	m.evq.Schedule(rankLink, m.link.NextInject(t))
-	if m.prof != nil {
-		m.prof.Rearm(profileRank(rankLink), ticked[rankLink])
-	}
 }

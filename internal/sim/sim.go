@@ -3,14 +3,12 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"secpref/internal/cache"
 	seccore "secpref/internal/core"
 	"secpref/internal/cpu"
 	"secpref/internal/dram"
 	"secpref/internal/energy"
-	"secpref/internal/event"
 	"secpref/internal/ghostminion"
 	"secpref/internal/mem"
 	"secpref/internal/observatory"
@@ -26,28 +24,15 @@ import (
 // workload property); it aborts rather than spinning forever.
 var ErrNoProgress = errors.New("sim: no instruction retired for too long")
 
-// Component ranks: each component's fixed position in the calendar
-// queue, identical to the lockstep tick order. Ties at the same cycle
-// tick in ascending rank order, so the event-driven engine processes
-// simultaneous wakeups exactly as step() would.
-const (
-	rankCore = iota
-	rankGM
-	rankL1D
-	rankL2
-	rankLLC
-	rankDRAM
-	numRanks
-)
-
-// Machine is one assembled single-core system.
+// Machine is one assembled single-core system. Its embedded domain
+// holds the clock and advances the components; the sharded builders
+// reuse Machine as one core's private slice of a multi-core system.
 type Machine struct {
+	domain
 	cfg Config
 	// pool is the machine-wide request free list; every component
 	// allocates and recycles mem.Requests through it.
 	pool *mem.RequestPool
-	// noSkip disables idle-cycle fast-forward (equivalence tests).
-	noSkip bool
 
 	core *cpu.Core
 	gm   *ghostminion.GM
@@ -56,12 +41,6 @@ type Machine struct {
 	llc  *cache.Cache
 	mem  *dram.DRAM
 	tlbs *tlb.Hierarchy
-	// link bridges this core's L2 to a shared LLC/DRAM domain in
-	// sharded multi-core builds (BuildSharded); nil on single-core
-	// machines. shardPrimed tracks whether AdvanceCore has built the
-	// private calendar (it stays exact across epochs).
-	link        *CoreLink
-	shardPrimed bool
 
 	pf         prefetch.Prefetcher
 	bertiPF    *berti.Prefetcher
@@ -86,30 +65,17 @@ type Machine struct {
 	winStart mem.Cycle
 	winCore  int // core index stamped onto samples (sharded systems)
 
-	// Calendar-queue engine state (see runUntil / advanceTo). lastWake
-	// and lastGMVer are the wake counters / GM state version observed
-	// when each rank was last (re)scheduled; a component whose counter
-	// moved was handed work by a peer and must tick even if its own
-	// schedule says otherwise.
-	evq       *event.Queue
-	lastWake  [numRanks]uint64
-	lastGMVer uint64
+	// Observatory state (observatory.go). digSink receives the rolling
+	// per-component state digests every digEvery cycles (digNext is the
+	// next boundary, digBuf the reused vector). Nil/zero when unarmed:
+	// the run loop pays one nil check.
+	digSink  observatory.DigestSink
+	digEvery mem.Cycle
+	digNext  mem.Cycle
+	digBuf   []uint64
 
-	// Observatory state (observatory.go). prof accumulates engine
-	// attribution; digSink receives the rolling per-component state
-	// digests every digEvery cycles (digNext is the next boundary,
-	// digBuf the reused vector). rtProgress/rtCount are RunToCycle's
-	// wedge detector. All nil/zero when unarmed: the run loop pays one
-	// nil check each.
-	prof       *observatory.Profile
-	digSink    observatory.DigestSink
-	digEvery   mem.Cycle
-	digNext    mem.Cycle
-	digBuf     []uint64
-	rtProgress mem.Cycle
-	rtCount    uint64
-
-	now mem.Cycle
+	// progress is the run loop's wedge tracker.
+	progress progress
 }
 
 type l1dLoadPort struct{ c *cache.Cache }
@@ -143,29 +109,46 @@ func NewMachine(cfg Config, src trace.Source) (*Machine, error) {
 	m.llc = cache.New(cfg.LLC, m.mem)
 	m.l2 = cache.New(cfg.L2, m.llc)
 	m.l1d = cache.New(cfg.L1D, m.l2)
+	m.mem.SetPool(m.pool)
+	m.llc.SetPool(m.pool)
+	if err := m.buildCore(src, true); err != nil {
+		return nil, err
+	}
+	m.domain = newDomain([]corePair{{core: m.core, gm: m.gm}}, []*cache.Cache{m.l1d, m.l2, m.llc}, m.mem, nil)
+	return m, nil
+}
 
+// buildCore assembles the core stack on top of m's L1D and L2: the GM
+// with its update filter (SUF or full update) on a secure system, the
+// core, the TLB, the request-pool wiring, the prefetcher (when
+// withPrefetcher is set; SMT threads share one) and the commit hook.
+func (m *Machine) buildCore(src trace.Source, withPrefetcher bool) error {
 	var loadPort cpu.LoadPort = l1dLoadPort{m.l1d}
-	if cfg.Secure {
+	if m.cfg.Secure {
 		var filter ghostminion.Filter = ghostminion.FullUpdate{}
-		if cfg.SUF {
+		if m.cfg.SUF {
 			m.suf = &seccore.SUF{}
 			filter = m.suf
 		}
-		m.gm = ghostminion.New(cfg.GM, m.l1d, filter)
+		m.gm = ghostminion.New(m.cfg.GM, m.l1d, filter)
+		m.gm.SetPool(m.pool)
 		loadPort = m.gm
 	}
-	m.core = cpu.New(cfg.Core, src, loadPort, l1dStorePort{m.l1d})
-	if !cfg.DisableTLB {
-		m.tlbs = tlb.New(cfg.TLB)
+	m.core = cpu.New(m.cfg.Core, src, loadPort, l1dStorePort{m.l1d})
+	m.core.SetPool(m.pool)
+	if !m.cfg.DisableTLB {
+		m.tlbs = tlb.New(m.cfg.TLB)
 		m.core.TLB = m.tlbs
 	}
-	m.wirePool()
-
-	if err := m.buildPrefetcher(); err != nil {
-		return nil, err
+	m.l1d.SetPool(m.pool)
+	m.l2.SetPool(m.pool)
+	if withPrefetcher {
+		if err := m.buildPrefetcher(); err != nil {
+			return err
+		}
 	}
 	m.wireCommit()
-	return m, nil
+	return nil
 }
 
 // homeCache returns the cache level the prefetcher lives at.
@@ -445,231 +428,6 @@ func (m *Machine) BertiDebug() []string {
 	return m.bertiPF.DebugTable()
 }
 
-// wirePool shares the machine's request pool with every component.
-func (m *Machine) wirePool() {
-	m.core.SetPool(m.pool)
-	if m.gm != nil {
-		m.gm.SetPool(m.pool)
-	}
-	m.l1d.SetPool(m.pool)
-	m.l2.SetPool(m.pool)
-	m.llc.SetPool(m.pool)
-	m.mem.SetPool(m.pool)
-}
-
-// step advances the whole machine one cycle.
-func (m *Machine) step() {
-	m.now++
-	m.core.Tick(m.now)
-	if m.gm != nil {
-		m.gm.Tick(m.now)
-	}
-	m.l1d.Tick(m.now)
-	m.l2.Tick(m.now)
-	m.llc.Tick(m.now)
-	m.mem.Tick(m.now)
-	if m.prof != nil {
-		// The lockstep reference engine visits every rank every cycle;
-		// attribute each as a plain due tick so profiles from both
-		// engines share a vocabulary.
-		m.prof.Advance(false)
-		for r := 0; r < numRanks; r++ {
-			if r == rankGM && m.gm == nil {
-				continue
-			}
-			m.prof.Visit(r, true, true, false, false)
-		}
-	}
-}
-
-// primeSchedule (re)builds the calendar from scratch: every rank is
-// scheduled at its component's own NextEvent and the wake counters are
-// snapshotted. Called at the top of each runUntil so the calendar is
-// correct regardless of what happened between runs (warmup boundary,
-// stats reset, window arming).
-func (m *Machine) primeSchedule() {
-	if m.evq == nil {
-		m.evq = event.New(numRanks)
-	}
-	m.evq.Schedule(rankCore, m.core.NextEvent(m.now))
-	m.lastWake[rankCore] = m.core.WakeCount()
-	if m.gm != nil {
-		m.evq.Schedule(rankGM, m.gm.NextEvent(m.now))
-		m.lastWake[rankGM] = m.gm.WakeCount()
-		m.lastGMVer = m.gm.StateVersion()
-	}
-	m.evq.Schedule(rankL1D, m.l1d.NextEvent(m.now))
-	m.lastWake[rankL1D] = m.l1d.WakeCount()
-	m.evq.Schedule(rankL2, m.l2.NextEvent(m.now))
-	m.lastWake[rankL2] = m.l2.WakeCount()
-	m.evq.Schedule(rankLLC, m.llc.NextEvent(m.now))
-	m.lastWake[rankLLC] = m.llc.WakeCount()
-	m.evq.Schedule(rankDRAM, m.mem.NextEvent(m.now))
-	m.lastWake[rankDRAM] = m.mem.WakeCount()
-}
-
-// advanceTo moves the machine from m.now to cycle t (t > m.now). The
-// gap (m.now, t) is provably idle for every component — t is the
-// calendar's earliest wake, possibly clamped down — so all components
-// first SkipIdle across it (exact: identical to empty Ticks). Cycle t
-// itself is then processed in rank order: a component ticks if its
-// schedule is due, if a peer handed it work (wake counter moved), or —
-// for the core — if the GM's state version moved (port-blocked loads
-// retry on version change); otherwise it integrates one empty cycle at
-// its rank position via SkipIdle. Running the idle components' SkipIdle
-// *in rank order with the ticks* keeps every cross-component clock read
-// bit-identical to lockstep stepping: a component poked by a
-// lower-ranked peer still shows t-1, one poked by a higher-ranked peer
-// shows t.
-func (m *Machine) advanceTo(t mem.Cycle) {
-	if k := t - m.now - 1; k > 0 {
-		m.core.SkipIdle(m.now, k)
-		if m.gm != nil {
-			m.gm.SkipIdle(k)
-		}
-		m.l1d.SkipIdle(k)
-		m.l2.SkipIdle(k)
-		m.llc.SkipIdle(k)
-		m.mem.SkipIdle(k)
-		m.now += k
-		if m.prof != nil {
-			m.prof.Gap(uint64(k))
-		}
-	}
-	m.now = t
-	var ticked [numRanks]bool
-
-	{
-		due := m.evq.At(rankCore) <= t
-		woke := m.core.WakeCount() != m.lastWake[rankCore]
-		ver := m.gm != nil && m.gm.StateVersion() != m.lastGMVer
-		if due || woke || ver {
-			if m.prof != nil && m.prof.WallDue(rankCore) {
-				s := time.Now()
-				m.core.Tick(t)
-				m.prof.WallRecord(rankCore, time.Since(s))
-			} else {
-				m.core.Tick(t)
-			}
-			ticked[rankCore] = true
-		} else {
-			m.core.SkipIdle(t-1, 1)
-		}
-		if m.prof != nil {
-			m.prof.Visit(rankCore, ticked[rankCore], due, woke, ver)
-		}
-	}
-	if m.gm != nil {
-		due := m.evq.At(rankGM) <= t
-		woke := m.gm.WakeCount() != m.lastWake[rankGM]
-		if due || woke {
-			if m.prof != nil && m.prof.WallDue(rankGM) {
-				s := time.Now()
-				m.gm.Tick(t)
-				m.prof.WallRecord(rankGM, time.Since(s))
-			} else {
-				m.gm.Tick(t)
-			}
-			ticked[rankGM] = true
-		} else {
-			m.gm.SkipIdle(1)
-		}
-		if m.prof != nil {
-			m.prof.Visit(rankGM, ticked[rankGM], due, woke, false)
-		}
-	}
-	caches := [...]*cache.Cache{m.l1d, m.l2, m.llc}
-	for i, c := range caches {
-		r := rankL1D + i
-		due := m.evq.At(r) <= t
-		woke := c.WakeCount() != m.lastWake[r]
-		if due || woke {
-			if m.prof != nil && m.prof.WallDue(r) {
-				s := time.Now()
-				c.Tick(t)
-				m.prof.WallRecord(r, time.Since(s))
-			} else {
-				c.Tick(t)
-			}
-			ticked[r] = true
-		} else {
-			c.SkipIdle(1)
-		}
-		if m.prof != nil {
-			m.prof.Visit(r, ticked[r], due, woke, false)
-		}
-	}
-	{
-		due := m.evq.At(rankDRAM) <= t
-		woke := m.mem.WakeCount() != m.lastWake[rankDRAM]
-		if due || woke {
-			if m.prof != nil && m.prof.WallDue(rankDRAM) {
-				s := time.Now()
-				m.mem.Tick(t)
-				m.prof.WallRecord(rankDRAM, time.Since(s))
-			} else {
-				m.mem.Tick(t)
-			}
-			ticked[rankDRAM] = true
-		} else {
-			m.mem.SkipIdle(1)
-		}
-		if m.prof != nil {
-			m.prof.Visit(rankDRAM, ticked[rankDRAM], due, woke, false)
-		}
-	}
-
-	// Re-arm: a rank that ticked, or that was poked during this cycle
-	// (wake counter moved — including pokes from higher-ranked peers
-	// after its slot passed), gets a fresh schedule. Untouched ranks
-	// keep their existing calendar entry.
-	if ticked[rankCore] || m.core.WakeCount() != m.lastWake[rankCore] ||
-		(m.gm != nil && m.gm.StateVersion() != m.lastGMVer) {
-		m.evq.Schedule(rankCore, m.core.NextEvent(t))
-		m.lastWake[rankCore] = m.core.WakeCount()
-		if m.gm != nil {
-			m.lastGMVer = m.gm.StateVersion()
-		}
-		if m.prof != nil {
-			m.prof.Rearm(rankCore, true)
-		}
-	} else if m.prof != nil {
-		m.prof.Rearm(rankCore, false)
-	}
-	if m.gm != nil {
-		if ticked[rankGM] || m.gm.WakeCount() != m.lastWake[rankGM] {
-			m.evq.Schedule(rankGM, m.gm.NextEvent(t))
-			m.lastWake[rankGM] = m.gm.WakeCount()
-			if m.prof != nil {
-				m.prof.Rearm(rankGM, true)
-			}
-		} else if m.prof != nil {
-			m.prof.Rearm(rankGM, false)
-		}
-	}
-	for i, c := range caches {
-		r := rankL1D + i
-		if ticked[r] || c.WakeCount() != m.lastWake[r] {
-			m.evq.Schedule(r, c.NextEvent(t))
-			m.lastWake[r] = c.WakeCount()
-			if m.prof != nil {
-				m.prof.Rearm(r, true)
-			}
-		} else if m.prof != nil {
-			m.prof.Rearm(r, false)
-		}
-	}
-	if ticked[rankDRAM] || m.mem.WakeCount() != m.lastWake[rankDRAM] {
-		m.evq.Schedule(rankDRAM, m.mem.NextEvent(t))
-		m.lastWake[rankDRAM] = m.mem.WakeCount()
-		if m.prof != nil {
-			m.prof.Rearm(rankDRAM, true)
-		}
-	} else if m.prof != nil {
-		m.prof.Rearm(rankDRAM, false)
-	}
-}
-
 // resetStats zeroes every counter block (end of warmup).
 func (m *Machine) resetStats() {
 	m.core.Stats = stats.CoreStats{}
@@ -689,6 +447,7 @@ func (m *Machine) resetStats() {
 	if m.monitor != nil {
 		m.monitor.Rebase()
 	}
+	m.progress.count = 0
 }
 
 // Run executes the configured simulation to completion. It is
@@ -708,83 +467,69 @@ const WedgeWindow mem.Cycle = wedgeWindow
 // runUntil advances the machine until the core has retired n more
 // instructions (or the trace ends), failing on wedge or cycle budget
 // exhaustion.
-//
-// The default engine is event-driven: the calendar queue (see
-// advanceTo) yields the earliest cycle any component is due, the
-// machine jumps there in one advance, and only due or freshly-poked
-// components tick. A fully quiescent machine — empty trace tail,
-// every component idle, calendar empty — yields mem.NoEvent; the
-// clamps below turn that into a single bounded jump to the wedge (or
-// budget) boundary, where the same ErrNoProgress / budget error fires
-// on exactly the cycle per-cycle stepping would have reported, instead
-// of the engine spinning through wedgeWindow dead iterations one cycle
-// at a time. The noSkip path keeps the lockstep reference engine that
-// the equivalence tests compare against.
 func (m *Machine) runUntil(n uint64, maxCycles mem.Cycle) error {
-	target := m.core.Stats.Instructions + n
-	lastProgress := m.now
-	lastCount := m.core.Stats.Instructions
-	if m.noSkip {
-		for m.core.Stats.Instructions < target && !m.core.Done() {
-			m.step()
-			if m.digSink != nil && m.now >= m.digNext {
-				m.emitDigests()
-			}
-			if m.winObs != nil && m.core.Stats.Instructions >= m.winNext {
-				m.sampleWindow()
-				for m.core.Stats.Instructions >= m.winNext {
-					m.winNext += m.winEvery
-				}
-			}
-			if m.core.Stats.Instructions != lastCount {
-				lastCount = m.core.Stats.Instructions
-				lastProgress = m.now
-			} else if m.now-lastProgress > wedgeWindow {
-				return ErrNoProgress
-			}
-			if m.now > maxCycles {
-				return fmt.Errorf("sim: cycle budget exhausted (%d cycles, %d instructions)", m.now, m.core.Stats.Instructions)
-			}
-		}
-		return nil
+	return m.run(m.core.Stats.Instructions+n, maxCycles, mem.NoEvent)
+}
+
+// run is the machine's run loop: it advances until the core has retired
+// target instructions, the clock reaches until, or the trace ends. It
+// fails when the wedge tracker sees no retirement for wedgeWindow
+// cycles or the clock passes maxCycles.
+//
+// On the event engine each advance jumps to the calendar's earliest
+// wake, clamped to until, the digest boundary, the wedge boundary and
+// the cycle budget. A fully quiescent machine (empty trace tail, every
+// component idle, calendar empty) therefore makes one bounded jump to
+// the wedge or budget boundary, where the error fires on exactly the
+// cycle the reference engine reports it.
+func (m *Machine) run(target uint64, maxCycles, until mem.Cycle) error {
+	if !m.noSkip {
+		// Rebuilt each run: the warmup boundary, stats reset and window
+		// arming all happen between runs.
+		m.prime()
 	}
-	m.primeSchedule()
-	for m.core.Stats.Instructions < target && !m.core.Done() {
-		next := m.evq.Next() // > m.now, or mem.NoEvent when quiescent
-		clamped := false
-		if limit := lastProgress + wedgeWindow + 1; next > limit {
-			next, clamped = limit, true
+	for m.now < until && m.core.Stats.Instructions < target && !m.core.Done() {
+		limit := until
+		if w := m.progress.at + wedgeWindow + 1; w < limit {
+			limit = w
 		}
-		if limit := maxCycles + 1; next > limit {
-			next, clamped = limit, true
+		if maxCycles < limit {
+			limit = maxCycles + 1
 		}
 		// Digest boundaries are visited exactly so both engines sample
 		// the same cycles (see armDigests).
-		if m.digSink != nil && next > m.digNext {
-			next, clamped = m.digNext, true
+		if m.digSink != nil && m.digNext < limit {
+			limit = m.digNext
 		}
-		m.advanceTo(next)
-		if m.prof != nil {
-			m.prof.Advance(clamped)
-		}
+		m.advance(limit)
 		if m.digSink != nil && m.now >= m.digNext {
 			m.emitDigests()
 		}
-		if m.winObs != nil && m.core.Stats.Instructions >= m.winNext {
-			m.sampleWindow()
-			for m.core.Stats.Instructions >= m.winNext {
-				m.winNext += m.winEvery
-			}
-		}
-		if m.core.Stats.Instructions != lastCount {
-			lastCount = m.core.Stats.Instructions
-			lastProgress = m.now
-		} else if m.now-lastProgress > wedgeWindow {
-			return ErrNoProgress
+		m.checkWindow()
+		if err := m.progress.check(m.core.Stats.Instructions, m.now); err != nil {
+			return err
 		}
 		if m.now > maxCycles {
 			return fmt.Errorf("sim: cycle budget exhausted (%d cycles, %d instructions)", m.now, m.core.Stats.Instructions)
 		}
+	}
+	return nil
+}
+
+// progress is the wedge tracker: it remembers the last cycle the
+// retired-instruction count moved.
+type progress struct {
+	count uint64
+	at    mem.Cycle
+}
+
+// check records count at cycle now and fails once a full wedge window
+// has passed without it moving.
+func (p *progress) check(count uint64, now mem.Cycle) error {
+	if count != p.count {
+		p.count, p.at = count, now
+	} else if now-p.at > wedgeWindow {
+		return ErrNoProgress
 	}
 	return nil
 }

@@ -5,11 +5,8 @@ import (
 
 	"secpref/internal/cache"
 	seccore "secpref/internal/core"
-	"secpref/internal/cpu"
 	"secpref/internal/dram"
-	"secpref/internal/ghostminion"
 	"secpref/internal/mem"
-	"secpref/internal/tlb"
 	"secpref/internal/trace"
 )
 
@@ -19,14 +16,14 @@ import (
 // evictions can invalidate SUF's recorded hit levels. Each thread runs
 // its own trace in a disjoint address space.
 //
-// The returned tick function advances the shared levels and DRAM once
-// per cycle (threads are ticked individually via TickSMT).
-func BuildSMT(cfg Config, threads []trace.Source) ([]*Machine, func(mem.Cycle), error) {
+// Thread 0's machine owns the SMT core's domain: both threads'
+// core/GM pairs, then the shared levels and DRAM.
+func BuildSMT(cfg Config, threads []trace.Source) ([]*Machine, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(threads) != 2 {
-		return nil, nil, fmt.Errorf("sim: SMT model is 2-way, got %d threads", len(threads))
+		return nil, fmt.Errorf("sim: SMT model is 2-way, got %d threads", len(threads))
 	}
 	channel := dram.New(cfg.DRAM)
 	llc := cache.New(cache.LLCConfig(1), channel)
@@ -37,40 +34,19 @@ func BuildSMT(cfg Config, threads []trace.Source) ([]*Machine, func(mem.Cycle), 
 	pool := &mem.RequestPool{}
 	channel.SetPool(pool)
 	llc.SetPool(pool)
-	l2.SetPool(pool)
-	l1d.SetPool(pool)
 
 	var machines []*Machine
+	var pairs []corePair
 	for i, src := range threads {
 		src = trace.Repeat(trace.Offset(src, mem.Addr(i)<<40), 1<<62)
-		m := &Machine{cfg: cfg, pool: pool}
-		m.mem = channel
-		m.llc = llc
-		m.l2 = l2
-		m.l1d = l1d
-		var loadPort cpu.LoadPort = l1dLoadPort{l1d}
-		if cfg.Secure {
-			var filter ghostminion.Filter = ghostminion.FullUpdate{}
-			if cfg.SUF {
-				m.suf = new(seccore.SUF)
-				filter = m.suf
-			}
-			m.gm = ghostminion.New(cfg.GM, l1d, filter)
-			loadPort = m.gm
+		m := &Machine{cfg: cfg, pool: pool, mem: channel, llc: llc, l2: l2, l1d: l1d}
+		// The SMT core has ONE prefetcher at the shared L1D; thread 0
+		// owns it and its access-stream hooks observe both threads'
+		// traffic.
+		if err := m.buildCore(src, i == 0); err != nil {
+			return nil, err
 		}
-		m.core = cpu.New(cfg.Core, src, loadPort, l1dStorePort{l1d})
-		if !cfg.DisableTLB {
-			m.tlbs = tlb.New(cfg.TLB)
-			m.core.TLB = m.tlbs
-		}
-		if i == 0 {
-			// The SMT core has ONE prefetcher at the shared L1D; thread
-			// 0 owns it and its access-stream hooks observe both
-			// threads' traffic.
-			if err := m.buildPrefetcher(); err != nil {
-				return nil, nil, err
-			}
-		} else if len(machines) > 0 {
+		if i > 0 {
 			// Later threads share the engine but keep a private X-LQ
 			// (it is part of the per-thread load queue).
 			first := machines[0]
@@ -82,49 +58,27 @@ func BuildSMT(cfg Config, threads []trace.Source) ([]*Machine, func(mem.Cycle), 
 				m.xlq = &seccore.XLQ{}
 			}
 		}
-		m.core.SetPool(pool)
-		if m.gm != nil {
-			m.gm.SetPool(pool)
-		}
-		m.wireCommit()
 		machines = append(machines, m)
+		pairs = append(pairs, corePair{core: m.core, gm: m.gm})
 	}
-	shared := func(now mem.Cycle) {
-		l1d.Tick(now)
-		l2.Tick(now)
-		llc.Tick(now)
-		channel.Tick(now)
-	}
-	return machines, shared, nil
+	machines[0].domain = newDomain(pairs, []*cache.Cache{l1d, l2, llc}, channel, nil)
+	return machines, nil
 }
 
-// TickSMT advances only this thread's private components (core, GM);
-// the shared levels are ticked once per cycle by the BuildSMT tick
-// function.
-func (m *Machine) TickSMT(now mem.Cycle) {
-	m.now = now
-	m.core.Tick(now)
-	if m.gm != nil {
-		m.gm.Tick(now)
-	}
-}
-
-// RunSMT simulates a 2-thread SMT pair until both threads retire the
-// configured instruction budget, returning per-thread results.
+// RunSMT simulates a 2-thread SMT pair on the reference engine until
+// both threads retire the configured instruction budget, returning
+// per-thread results.
 func RunSMT(cfg Config, threads []trace.Source) ([]*Result, error) {
-	machines, shared, err := BuildSMT(cfg, threads)
+	machines, err := BuildSMT(cfg, threads)
 	if err != nil {
 		return nil, err
 	}
-	warmup := uint64(cfg.WarmupInstrs)
-	measured := uint64(cfg.MaxInstrs)
+	d := &machines[0].domain
 	maxCycles := cfg.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = mem.Cycle(2000 * (cfg.WarmupInstrs + cfg.MaxInstrs))
 	}
-	var now mem.Cycle
-	var lastSum uint64
-	lastProgress := now
+	var wedge progress
 	runTo := func(n uint64) error {
 		for {
 			done := true
@@ -138,37 +92,30 @@ func RunSMT(cfg Config, threads []trace.Source) ([]*Result, error) {
 			if done {
 				return nil
 			}
-			now++
-			for _, m := range machines {
-				m.TickSMT(now)
+			d.step()
+			if err := wedge.check(sum, d.now); err != nil {
+				return err
 			}
-			shared(now)
-			if sum != lastSum {
-				lastSum = sum
-				lastProgress = now
-			} else if now-lastProgress > 500_000 {
-				return ErrNoProgress
-			}
-			if now > maxCycles {
-				return fmt.Errorf("sim: SMT cycle budget exhausted at %d", now)
+			if d.now > maxCycles {
+				return fmt.Errorf("sim: SMT cycle budget exhausted at %d", d.now)
 			}
 		}
 	}
-	if warmup > 0 {
-		if err := runTo(warmup); err != nil {
+	if cfg.WarmupInstrs > 0 {
+		if err := runTo(uint64(cfg.WarmupInstrs)); err != nil {
 			return nil, err
 		}
 		for _, m := range machines {
 			m.resetStats()
 		}
 	}
-	start := now
-	if err := runTo(measured); err != nil {
+	start := d.now
+	if err := runTo(uint64(cfg.MaxInstrs)); err != nil {
 		return nil, err
 	}
 	var out []*Result
 	for i, m := range machines {
-		out = append(out, m.result(threads[i].Name(), now-start))
+		out = append(out, m.result(threads[i].Name(), d.now-start))
 	}
 	return out, nil
 }

@@ -75,7 +75,7 @@ func TestSMTSharingSlowsThreads(t *testing.T) {
 
 func TestSMTRequiresTwoThreads(t *testing.T) {
 	cfg := DefaultConfig()
-	if _, _, err := BuildSMT(cfg, nil); err == nil {
+	if _, err := BuildSMT(cfg, nil); err == nil {
 		t.Fatal("expected thread-count error")
 	}
 }

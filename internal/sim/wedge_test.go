@@ -30,8 +30,9 @@ func wedgedMachine(t *testing.T, noSkip bool) *Machine {
 		t.Fatal(err)
 	}
 	m.core = cpu.New(cfg.Core, smokeTrace(t, "bfs-3B", 12_000), blackHolePort{}, l1dStorePort{m.l1d})
-	m.wirePool()
+	m.core.SetPool(m.pool)
 	m.wireCommit()
+	m.pairs[0].core = m.core
 	m.noSkip = noSkip
 	return m
 }
