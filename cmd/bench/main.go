@@ -33,12 +33,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
 
+	"secpref/internal/export"
 	"secpref/internal/multicore"
 	"secpref/internal/observatory"
 	"secpref/internal/probe"
@@ -341,25 +343,6 @@ func profiledRun() (*observatory.Profile, error) {
 	return p, nil
 }
 
-// writeProfileTable exports the sim-profile table as base.json and
-// base.csv, mirroring cmd/experiments -simprofile.
-func writeProfileTable(p *observatory.Profile, base string) error {
-	jf, err := os.Create(base + ".json")
-	if err != nil {
-		return err
-	}
-	defer jf.Close()
-	if err := p.WriteJSON(jf); err != nil {
-		return err
-	}
-	cf, err := os.Create(base + ".csv")
-	if err != nil {
-		return err
-	}
-	defer cf.Close()
-	return p.WriteCSV(cf)
-}
-
 // allocGate compares a measured allocation count against its recorded
 // baseline. The measurements keep the minimum across runs and MemStats
 // noise only ever inflates the count, so the gate can be much tighter
@@ -630,7 +613,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			os.Exit(1)
 		}
-		if err := writeProfileTable(prof, *simProfile); err != nil {
+		if err := export.WriteFiles(filepath.Dir(*simProfile), prof.Files(filepath.Base(*simProfile), "")...); err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			os.Exit(1)
 		}

@@ -22,10 +22,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
 	"secpref/internal/experiments"
+	"secpref/internal/export"
 	"secpref/internal/observatory"
 	"secpref/internal/probe"
 	"secpref/internal/sim"
@@ -167,7 +169,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", id, err)
 				os.Exit(1)
 			}
-			fmt.Println(string(raw))
+			fmt.Print(string(raw))
 		} else {
 			fmt.Print(t.String())
 			fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
@@ -204,7 +206,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: multicore gate passed in %.1fs (parallel and reference engines bit-identical; barrier interval immaterial)\n", time.Since(start).Seconds())
 	}
 	if aggregate != nil {
-		if err := writeSimProfile(aggregate, *simProfile); err != nil {
+		snap := aggregate.Snapshot()
+		if err := export.WriteFiles(filepath.Dir(*simProfile), snap.Files(filepath.Base(*simProfile), "")...); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}
@@ -214,23 +217,4 @@ func main() {
 	if *timeseries != "" {
 		fmt.Fprintf(os.Stderr, "experiments: time series and lifecycle traces in %s\n", *timeseries)
 	}
-}
-
-// writeSimProfile exports the aggregated attribution table as
-// base.json and base.csv.
-func writeSimProfile(a *observatory.Aggregate, base string) error {
-	jf, err := os.Create(base + ".json")
-	if err != nil {
-		return err
-	}
-	defer jf.Close()
-	if err := a.WriteJSON(jf); err != nil {
-		return err
-	}
-	cf, err := os.Create(base + ".csv")
-	if err != nil {
-		return err
-	}
-	defer cf.Close()
-	return a.WriteCSV(cf)
 }

@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"secpref"
+	"secpref/internal/export"
 	"secpref/internal/leakage"
 	"secpref/internal/mem"
 	"secpref/internal/observatory"
@@ -119,13 +120,16 @@ func main() {
 		os.Exit(1)
 	}
 	if *tsDir != "" {
-		if err := exportTimeseries(*tsDir, res.TraceName, cfg.Label(), sampler, tracer); err != nil {
+		files := probe.RunFiles(res.TraceName, cfg.Label(), sampler, tracer)
+		if err := writeFiles(*tsDir, files); err != nil {
 			fmt.Fprintln(os.Stderr, "secpref:", err)
 			os.Exit(1)
 		}
+		fmt.Fprintf(os.Stderr, "secpref: %d windows, %d trace events\n", sampler.Len(), len(tracer.Events()))
 	}
 	if prof != nil {
-		if err := exportSimProfile(prof, *simProf, res.TraceName+" "+cfg.Label(), *tsDir != ""); err != nil {
+		files := prof.Files(filepath.Base(*simProf), res.TraceName+" "+cfg.Label())
+		if err := writeFiles(filepath.Dir(*simProf), files); err != nil {
 			fmt.Fprintln(os.Stderr, "secpref:", err)
 			os.Exit(1)
 		}
@@ -162,92 +166,14 @@ func main() {
 	}
 }
 
-// exportTimeseries writes <trace>__<label>.series.json, .series.csv,
-// and .trace.json into dir and reports the paths on stderr.
-func exportTimeseries(dir, traceName, label string, s *probe.IntervalSampler, tr *probe.Tracer) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// writeFiles writes files into dir and reports their paths on stderr.
+func writeFiles(dir string, files []export.File) error {
+	if err := export.WriteFiles(dir, files...); err != nil {
 		return err
 	}
-	sanitized := strings.Map(func(r rune) rune {
-		switch r {
-		case '/', '+', ' ', ':':
-			return '-'
-		}
-		return r
-	}, label)
-	base := filepath.Join(dir, traceName+"__"+sanitized)
-	write := func(path string, emit func(*os.File) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		return f.Close()
+	for _, f := range files {
+		fmt.Fprintf(os.Stderr, "secpref: wrote %s\n", filepath.Join(dir, f.Name))
 	}
-	if err := write(base+".series.json", func(f *os.File) error { return s.WriteJSON(f, label, traceName) }); err != nil {
-		return err
-	}
-	if err := write(base+".series.csv", func(f *os.File) error { return s.WriteCSV(f) }); err != nil {
-		return err
-	}
-	if err := write(base+".trace.json", func(f *os.File) error { return tr.WriteChromeTrace(f, traceName+" "+label) }); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "secpref: wrote %s.series.json, .series.csv, .trace.json (%d windows, %d trace events)\n",
-		base, s.Len(), len(tr.Events()))
-	return nil
-}
-
-// exportSimProfile writes the engine-attribution table as base.json
-// and base.csv, plus base.trace.json counter tracks when the run also
-// sampled windows (the tracks ride the window cadence).
-func exportSimProfile(p *observatory.Profile, base, label string, withTracks bool) error {
-	if dir := filepath.Dir(base); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	jf, err := os.Create(base + ".json")
-	if err != nil {
-		return err
-	}
-	if err := p.WriteJSON(jf); err != nil {
-		jf.Close()
-		return err
-	}
-	if err := jf.Close(); err != nil {
-		return err
-	}
-	cf, err := os.Create(base + ".csv")
-	if err != nil {
-		return err
-	}
-	if err := p.WriteCSV(cf); err != nil {
-		cf.Close()
-		return err
-	}
-	if err := cf.Close(); err != nil {
-		return err
-	}
-	names := []string{base + ".json", base + ".csv"}
-	if withTracks && len(p.Track) > 0 {
-		tf, err := os.Create(base + ".trace.json")
-		if err != nil {
-			return err
-		}
-		if err := p.WriteChromeTrace(tf, label); err != nil {
-			tf.Close()
-			return err
-		}
-		if err := tf.Close(); err != nil {
-			return err
-		}
-		names = append(names, base+".trace.json")
-	}
-	fmt.Fprintf(os.Stderr, "secpref: wrote %s\n", strings.Join(names, ", "))
 	return nil
 }
 

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"sync"
 
+	"secpref/internal/export"
 	"secpref/internal/observatory"
 	"secpref/internal/probe"
 	"secpref/internal/sim"
@@ -195,6 +196,15 @@ func classified(v cfgVariant) cfgVariant {
 	return v
 }
 
+// Lifecycle-tracer sizing for campaign runs: sample every 32nd load and
+// keep the most recent 8Ki events per run. Campaign traces are meant for
+// spot inspection in Perfetto, not exhaustive capture; the ring bounds
+// memory across the fan-out.
+const (
+	traceSampleEvery = 32
+	traceRingCap     = 1 << 13
+)
+
 // result runs (or returns the memoized) simulation of variant v on the
 // named trace.
 func (r *Runner) result(traceName string, v cfgVariant) (*sim.Result, error) {
@@ -240,7 +250,7 @@ func (r *Runner) result(traceName string, v cfgVariant) (*sim.Result, error) {
 			probes.Window = sampler
 			e.res, e.err = sim.RunProbed(v.config(r.opts), src, probes)
 			if e.err == nil {
-				e.err = r.exportTimeseries(traceName, v.label, sampler, tracer)
+				e.err = export.WriteFiles(r.opts.TimeseriesDir, probe.RunFiles(traceName, v.label, sampler, tracer)...)
 			}
 		}
 		if e.err == nil && prof != nil {

@@ -3,10 +3,9 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 
+	"secpref/internal/export"
 	"secpref/internal/interference"
 	"secpref/internal/multicore"
 )
@@ -121,7 +120,7 @@ func (r *Runner) ConsolidationInterference() (*Table, error) {
 				u(total.Inflicted), u(total.Pollution), "-")
 
 			if r.opts.TimeseriesDir != "" {
-				if err := r.exportInterference(fmt.Sprintf("mc%02d__%s", cores, sanitizeLabel(v.label)), s); err != nil {
+				if err := export.WriteFiles(r.opts.TimeseriesDir, s.Files(fmt.Sprintf("mc%02d__%s", cores, export.FileName(v.label)))...); err != nil {
 					return nil, err
 				}
 			}
@@ -131,37 +130,6 @@ func (r *Runner) ConsolidationInterference() (*Table, error) {
 		"inflicted = victim demand misses on lines this aggressor evicted; pollution = the prefetch-caused subset",
 		"LLC shrunk to 32 KiB/core bank so laptop-scale budgets exercise capacity contention (paper scale: 2 MB/core)")
 	return t, nil
-}
-
-// exportInterference writes one run's observatory snapshot into
-// opts.TimeseriesDir in all four export formats.
-func (r *Runner) exportInterference(base string, s *interference.Snapshot) error {
-	dir := r.opts.TimeseriesDir
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("timeseries dir: %w", err)
-	}
-	root := filepath.Join(dir, base)
-	write := func(path string, emit func(*os.File) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		return f.Close()
-	}
-	if err := write(root+".interference.json", func(f *os.File) error { return s.WriteJSON(f) }); err != nil {
-		return err
-	}
-	if err := write(root+".interference.csv", func(f *os.File) error { return s.WriteCSV(f) }); err != nil {
-		return err
-	}
-	if err := write(root+".interference.prom", func(f *os.File) error { return s.WritePrometheus(f) }); err != nil {
-		return err
-	}
-	return write(root+".interference.trace.json", func(f *os.File) error { return s.WriteChromeTrace(f) })
 }
 
 func u(v uint64) string { return fmt.Sprintf("%d", v) }

@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 
 	"secpref/internal/attack"
+	"secpref/internal/export"
 	"secpref/internal/leakage"
 	"secpref/internal/sim"
 	"secpref/internal/trace"
@@ -120,7 +119,7 @@ func (r *Runner) LeakageAudit() (*Table, error) {
 	}
 
 	if r.opts.TimeseriesDir != "" {
-		if err := r.exportLeakageTable(t); err != nil {
+		if err := export.WriteFiles(r.opts.TimeseriesDir, t.files()...); err != nil {
 			return nil, err
 		}
 	}
@@ -154,30 +153,6 @@ func (r *Runner) auditCampaign(v cfgVariant) (leakage.Scoreboard, error) {
 		return nil
 	})
 	return total, err
-}
-
-// exportLeakageTable writes the scoreboard as JSON and CSV next to the
-// campaign time series (the CI artifact).
-func (r *Runner) exportLeakageTable(t *Table) error {
-	if err := os.MkdirAll(r.opts.TimeseriesDir, 0o755); err != nil {
-		return err
-	}
-	js, err := t.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(r.opts.TimeseriesDir, t.ID+".json"), js, 0o644); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(r.opts.TimeseriesDir, t.ID+".csv"))
-	if err != nil {
-		return err
-	}
-	if err := t.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // SecureLeakageGate is the CI invariant check. It fails when the

@@ -1,11 +1,11 @@
 package experiments
 
 import (
-	"encoding/csv"
-	"encoding/json"
+	"bytes"
 	"fmt"
-	"io"
 	"strings"
+
+	"secpref/internal/export"
 )
 
 // Table is a rendered experiment result: a title, a header row, data
@@ -19,24 +19,19 @@ type Table struct {
 }
 
 // JSON renders the table as indented JSON (for downstream plotting).
-func (t *Table) JSON() ([]byte, error) { return json.MarshalIndent(t, "", "  ") }
+func (t *Table) JSON() ([]byte, error) {
+	var b bytes.Buffer
+	err := export.WriteJSON(&b, t)
+	return b.Bytes(), err
+}
 
 // AddRow appends a data row.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// WriteCSV renders the table as CSV: the header row, then data rows.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Header); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+// files names the table's artifacts: ID.json and ID.csv.
+func (t *Table) files() []export.File {
+	csv := export.Table{Header: t.Header, Rows: t.Rows}
+	return []export.File{export.JSONFile(t.ID+".json", t), {Name: t.ID + ".csv", Write: csv.WriteCSV}}
 }
 
 // String renders the table as aligned text.

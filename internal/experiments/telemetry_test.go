@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"secpref/internal/export"
 	"secpref/internal/probe"
 )
 
@@ -16,8 +17,8 @@ func TestSanitizeLabel(t *testing.T) {
 		"nopref/non-secure":                   "nopref-non-secure",
 		"bingo/on-commit/secure+SUF+classify": "bingo-on-commit-secure-SUF-classify",
 	} {
-		if got := sanitizeLabel(in); got != want {
-			t.Errorf("sanitizeLabel(%q) = %q, want %q", in, got, want)
+		if got := export.FileName(in); got != want {
+			t.Errorf("export.FileName(%q) = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -62,7 +63,7 @@ func TestTimeseriesOutputInvariant(t *testing.T) {
 
 	// The series JSON must decode and hold per-interval rows; the trace
 	// must be a Chrome trace-event array.
-	raw, err := os.ReadFile(filepath.Join(dir, "605.mcf-1554B__"+sanitizeLabel("berti/on-access/secure")+".series.json"))
+	raw, err := os.ReadFile(filepath.Join(dir, "605.mcf-1554B__"+export.FileName("berti/on-access/secure")+".series.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

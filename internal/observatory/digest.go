@@ -1,10 +1,10 @@
 package observatory
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
+	"secpref/internal/export"
 	"secpref/internal/mem"
 )
 
@@ -46,11 +46,7 @@ func (r *Recorder) Digest(cycle mem.Cycle, comps []uint64) {
 func (r *Recorder) Len() int { return len(r.Points) }
 
 // WriteJSON writes the digest stream as an indented JSON envelope.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *Recorder) WriteJSON(w io.Writer) error { return export.WriteJSON(w, r) }
 
 // Divergence locates the first disagreement between two digest
 // streams or engines.

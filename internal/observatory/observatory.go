@@ -19,8 +19,9 @@
 //     against each other and binary-searches to the first divergent
 //     (cycle, component).
 //
-// The package deliberately depends only on internal/mem so every
-// component package can implement StateDigest() with its helpers.
+// The package deliberately depends only on internal/mem and the
+// stdlib-only internal/export, so every component package can
+// implement StateDigest() with its helpers.
 package observatory
 
 // FNV-1a 64-bit parameters, word-folded: state is hashed a uint64 at a

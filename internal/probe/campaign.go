@@ -2,11 +2,12 @@ package probe
 
 import (
 	"expvar"
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"secpref/internal/export"
 )
 
 // Campaign aggregates live telemetry for a long experiment campaign:
@@ -121,33 +122,21 @@ func (c *Campaign) Snapshot() Snapshot {
 // format (counters as *_total, gauges bare).
 func (c *Campaign) WritePrometheus(w io.Writer) error {
 	s := c.Snapshot()
-	write := func(name, typ, help string, v float64) error {
-		_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, v)
-		return err
-	}
-	for _, m := range []struct {
-		name, typ, help string
-		v               float64
-	}{
-		{"secpref_runs_started_total", "counter", "Simulations started.", float64(s.RunsStarted)},
-		{"secpref_runs_completed_total", "counter", "Simulations completed.", float64(s.RunsDone)},
-		{"secpref_runs_failed_total", "counter", "Simulations failed.", float64(s.RunsFailed)},
-		{"secpref_instructions_total", "counter", "Instructions retired across completed runs.", float64(s.Instructions)},
-		{"secpref_cycles_total", "counter", "Cycles simulated across completed runs.", float64(s.Cycles)},
-		{"secpref_experiments_completed_total", "counter", "Experiment ids completed.", float64(s.ExperimentsDone)},
-		{"secpref_campaign_uptime_seconds", "gauge", "Seconds since the campaign started.", s.UptimeSeconds},
-		{"secpref_instructions_per_second", "gauge", "Campaign-average simulated instruction throughput.", s.InstrsPerSec},
-	} {
-		if err := write(m.name, m.typ, m.help, m.v); err != nil {
-			return err
-		}
+	fams := []export.Family{
+		export.Scalar("secpref_runs_started_total", "counter", "Simulations started.", float64(s.RunsStarted)),
+		export.Scalar("secpref_runs_completed_total", "counter", "Simulations completed.", float64(s.RunsDone)),
+		export.Scalar("secpref_runs_failed_total", "counter", "Simulations failed.", float64(s.RunsFailed)),
+		export.Scalar("secpref_instructions_total", "counter", "Instructions retired across completed runs.", float64(s.Instructions)),
+		export.Scalar("secpref_cycles_total", "counter", "Cycles simulated across completed runs.", float64(s.Cycles)),
+		export.Scalar("secpref_experiments_completed_total", "counter", "Experiment ids completed.", float64(s.ExperimentsDone)),
+		export.Scalar("secpref_campaign_uptime_seconds", "gauge", "Seconds since the campaign started.", s.UptimeSeconds),
+		export.Scalar("secpref_instructions_per_second", "gauge", "Campaign-average simulated instruction throughput.", s.InstrsPerSec),
 	}
 	if s.EngineVersion != "" {
-		if _, err := fmt.Fprintf(w, "# HELP secpref_engine_info Simulation-engine version in use.\n# TYPE secpref_engine_info gauge\nsecpref_engine_info{version=%q} 1\n", s.EngineVersion); err != nil {
-			return err
-		}
+		fams = append(fams, export.Family{Name: "secpref_engine_info", Type: "gauge", Help: "Simulation-engine version in use.",
+			Samples: []export.Sample{{Labels: []string{"version", s.EngineVersion}, Value: 1}}})
 	}
-	return nil
+	return export.WritePrometheus(w, fams...)
 }
 
 // expvar publication is process-global and append-only, so the package

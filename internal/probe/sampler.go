@@ -1,9 +1,10 @@
 package probe
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
+	"strconv"
+
+	"secpref/internal/export"
 )
 
 // IntervalSampler records the cumulative Sample the driver hands it at
@@ -115,9 +116,7 @@ type series struct {
 // cumulative snapshots) as indented JSON. Label and trace name the run
 // in the envelope; empty strings are omitted.
 func (s *IntervalSampler) WriteJSON(w io.Writer, label, trace string) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(series{Label: label, Trace: trace, Intervals: s.Rows(), Samples: s.samples})
+	return export.WriteJSON(w, series{Label: label, Trace: trace, Intervals: s.Rows(), Samples: s.samples})
 }
 
 // csvHeader lists the WriteCSV columns in order.
@@ -129,27 +128,27 @@ var csvHeader = []string{
 
 // WriteCSV writes the derived per-interval rows as CSV.
 func (s *IntervalSampler) WriteCSV(w io.Writer) error {
-	for i, h := range csvHeader {
-		if i > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, h); err != nil {
-			return err
-		}
-	}
-	if _, err := io.WriteString(w, "\n"); err != nil {
-		return err
-	}
+	f := func(v float64, prec int) string { return strconv.FormatFloat(v, 'f', prec, 64) }
+	t := export.Table{Header: csvHeader}
 	for _, r := range s.Rows() {
-		_, err := fmt.Fprintf(w, "%d,%d,%.4f,%.3f,%.3f,%.1f,%.3f,%.4f,%.4f,%.3f,%.3f,%.3f,%.4f,%.3f\n",
-			r.Cycle, r.Instructions, r.IPC, r.MPKI, r.L2MPKI, r.MissLat,
-			r.MSHROcc, r.MSHRFullFrac, r.PrefAccuracy, r.PrefLatePKI,
-			r.PrefIssuedPKI, r.SUFDropPKI, r.CommitGMHitRate, r.DRAMReadPKI)
-		if err != nil {
-			return err
-		}
+		t.Rows = append(t.Rows, []string{
+			strconv.FormatUint(r.Cycle, 10), strconv.FormatUint(r.Instructions, 10),
+			f(r.IPC, 4), f(r.MPKI, 3), f(r.L2MPKI, 3), f(r.MissLat, 1),
+			f(r.MSHROcc, 3), f(r.MSHRFullFrac, 4), f(r.PrefAccuracy, 4), f(r.PrefLatePKI, 3),
+			f(r.PrefIssuedPKI, 3), f(r.SUFDropPKI, 3), f(r.CommitGMHitRate, 4), f(r.DRAMReadPKI, 3),
+		})
 	}
-	return nil
+	return t.WriteCSV(w)
+}
+
+// RunFiles names one run's sampler and tracer artifacts:
+// <trace>__<label>.series.json, .series.csv and .trace.json, with the
+// label made a file name (export.FileName).
+func RunFiles(trace, label string, s *IntervalSampler, t *Tracer) []export.File {
+	base := trace + "__" + export.FileName(label)
+	return []export.File{
+		{Name: base + ".series.json", Write: func(w io.Writer) error { return s.WriteJSON(w, label, trace) }},
+		{Name: base + ".series.csv", Write: s.WriteCSV},
+		{Name: base + ".trace.json", Write: func(w io.Writer) error { return t.WriteChromeTrace(w, trace+" "+label) }},
+	}
 }

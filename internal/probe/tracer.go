@@ -1,10 +1,11 @@
 package probe
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+
+	"secpref/internal/export"
 )
 
 // Tracer records sampled request-lifecycle event chains — issue → GM
@@ -73,40 +74,15 @@ func (t *Tracer) Events() []Event {
 // filled.
 func (t *Tracer) Dropped() uint64 { return t.dropped }
 
-// chromeEvent is one entry of the Chrome trace-event JSON format, which
-// Perfetto and chrome://tracing both load. Timestamps are in
-// "microseconds"; the tracer maps one core cycle to one microsecond.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	TS    uint64         `json:"ts"`
-	Dur   uint64         `json:"dur,omitempty"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent  `json:"traceEvents"`
-	DisplayTimeUnit string         `json:"displayTimeUnit"`
-	OtherData       map[string]any `json:"otherData,omitempty"`
-}
-
-// WriteChromeTrace exports the ring as Chrome trace-event JSON: one
+// WriteChromeTrace exports the ring as a Chrome/Perfetto trace: one
 // process (pid) per core, one lane (tid) per site within it, an
 // instant event per recorded occurrence, and a duration span per
 // sampled load from its core issue to its core fill, so the timeline
 // shows each load's walk down the hierarchy. Single-core runs collapse
-// to one process (core 0); multicore exports get one named process row
-// per core instead of interleaving every core into the same track.
+// to one process (core 0). otherData records dropped_events.
 func (t *Tracer) WriteChromeTrace(w io.Writer, label string) error {
 	evs := t.Events()
-	out := chromeTrace{
-		DisplayTimeUnit: "ns",
-		OtherData:       map[string]any{"label": label, "time_unit": "1 core cycle = 1us", "dropped_events": t.dropped},
-		TraceEvents:     make([]chromeEvent, 0, len(evs)+NumSites),
-	}
+	out := export.Trace{Label: label, Other: map[string]any{"dropped_events": t.dropped}}
 	seen := map[int]bool{}
 	var cores []int
 	for _, ev := range evs {
@@ -120,15 +96,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer, label string) error {
 	}
 	sort.Ints(cores)
 	for _, c := range cores {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "process_name", Phase: "M", PID: c,
-			Args: map[string]any{"name": fmt.Sprintf("core%d", c)},
-		})
+		out.Process(c, fmt.Sprintf("core%d", c))
 		for s := 0; s < NumSites; s++ {
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: "thread_name", Phase: "M", PID: c, TID: s,
-				Args: map[string]any{"name": Site(s).String()},
-			})
+			out.Thread(c, s, Site(s).String())
 		}
 	}
 	issued := make(map[uint64]Event, 64) // seq -> core issue event
@@ -145,7 +115,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer, label string) error {
 				if dur == 0 {
 					dur = 1
 				}
-				out.TraceEvents = append(out.TraceEvents, chromeEvent{
+				out.Events = append(out.Events, export.Event{
 					Name: fmt.Sprintf("load seq=%d", ev.Seq), Phase: "X",
 					TS: uint64(is.Cycle), Dur: dur, PID: ev.Core, TID: int(SiteCore),
 					Args: map[string]any{"line": fmt.Sprintf("%#x", uint64(ev.Line)), "served_by": ev.Level.String()},
@@ -154,7 +124,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer, label string) error {
 				continue
 			}
 		}
-		ce := chromeEvent{
+		ce := export.Event{
 			Name:  fmt.Sprintf("%s %s", ev.Site, ev.Kind),
 			Phase: "i", Scope: "t",
 			TS: uint64(ev.Cycle), PID: ev.Core, TID: int(ev.Site),
@@ -187,10 +157,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer, label string) error {
 		case EvSquash:
 			ce.Args["from_seq"] = ev.Seq
 		}
-		out.TraceEvents = append(out.TraceEvents, ce)
+		out.Events = append(out.Events, ce)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	return out.WriteChrome(w)
 }
 
 func commitOutcomeName(a uint64) string {
