@@ -120,6 +120,20 @@ func (c Config) Validate() error {
 	if c.MaxInstrs <= 0 {
 		return fmt.Errorf("sim: MaxInstrs must be positive, got %d", c.MaxInstrs)
 	}
+	for _, cc := range []cache.Config{c.L1D, c.L2, c.LLC} {
+		if cc.Ways <= 0 {
+			return fmt.Errorf("sim: %s needs at least one way, got %d", cc.Name, cc.Ways)
+		}
+		if n := cc.Sets(); n <= 0 || n&(n-1) != 0 {
+			return fmt.Errorf("sim: %s set count %d (%d KiB, %d ways) is not a power of two", cc.Name, n, cc.SizeKiB, cc.Ways)
+		}
+	}
+	if c.DRAM.Banks <= 0 {
+		return fmt.Errorf("sim: DRAM needs at least one bank, got %d", c.DRAM.Banks)
+	}
+	if c.Secure && c.GM.Lines <= 0 {
+		return fmt.Errorf("sim: the GhostMinion needs at least one line, got %d", c.GM.Lines)
+	}
 	return nil
 }
 

@@ -128,7 +128,9 @@ func Read(r io.Reader) (*Trace, error) {
 	if count > maxReasonable {
 		return nil, fmt.Errorf("%w: implausible instruction count %d", ErrBadTrace, count)
 	}
-	t := &Trace{Name: string(name), Instrs: make([]Instr, 0, count)}
+	// The header's count is untrusted: preallocate at most 64Ki records
+	// and let append grow with the records actually present.
+	t := &Trace{Name: string(name), Instrs: make([]Instr, 0, min(count, 1<<16))}
 	prevIP := uint64(0)
 	for i := uint64(0); i < count; i++ {
 		flags, err := br.ReadByte()
