@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -260,7 +261,8 @@ func (r *Runner) result(traceName string, v cfgVariant) (*sim.Result, error) {
 	return e.res, e.err
 }
 
-// forEachTrace runs fn for every trace in parallel and collects errors.
+// forEachTrace runs fn for every trace in parallel and joins their
+// errors in trace order.
 func (r *Runner) forEachTrace(fn func(name string) error) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(r.opts.Traces))
@@ -272,12 +274,7 @@ func (r *Runner) forEachTrace(fn func(name string) error) error {
 		}(i, name)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // speedups collects per-trace speedups of v over the non-secure

@@ -1,93 +1,81 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 
-	"secpref/internal/observatory"
+	"secpref/internal/multicore"
 	"secpref/internal/sim"
 	"secpref/internal/trace"
 	"secpref/internal/workload"
 )
 
-// digestGateVariants are the configurations the equivalence gate
-// exercises: the full secure stack (GM + SUF + Berti/TSB — every
-// digested component live) and a non-secure on-access system (the
-// other training/fill wiring).
-func digestGateVariants() []cfgVariant {
-	return []cfgVariant{
-		timelySecureSUF("berti"),
-		onAccessNonSecure("berti"),
+// engineGateVariants are the configurations both engine gates exercise:
+// the full secure stack (GM + SUF + Berti/TSB — every digested
+// component live) and a non-secure on-access system (the other
+// training/fill wiring).
+var engineGateVariants = []cfgVariant{timelySecureSUF("berti"), onAccessNonSecure("berti")}
+
+// mixSources builds the trace sources for one named mix with the
+// runner's budgets (the runMix convention).
+func (r *Runner) mixSources(names []string) ([]trace.Source, error) {
+	mix := make([]trace.Source, len(names))
+	for i, name := range names {
+		tr, err := workload.Get(name, workload.Params{Instrs: r.opts.Instrs + r.opts.Warmup, Seed: r.opts.Seed})
+		if err != nil {
+			return nil, err
+		}
+		mix[i] = trace.NewSource(tr)
 	}
+	return mix, nil
 }
 
 // DigestEquivalenceGate runs every (variant, trace) pair of the
-// campaign under both simulation engines — calendar-queue event engine
-// and lockstep reference — with rolling state-digest recorders
-// attached, and fails on the first divergent checkpoint. It is the CI
-// form of the determinism guarantee: not just "the final results
-// match" (TestIdleSkipEquivalence) but "the architectural state agrees
-// at every digest interval along the way", which turns an engine bug
-// into a (cycle, component) coordinate instead of a diff of end-state
-// counters.
+// campaign on the calendar-queue event engine and on the lockstep
+// reference (sim.CompareEngines). It fails unless the architectural
+// state agrees at every digest interval along the way and the results
+// are bit-identical; a failure names the exact (cycle, component) at
+// which the engines first disagree.
 func (r *Runner) DigestEquivalenceGate() error {
-	var mu sync.Mutex
-	var failures []string
-	for _, v := range digestGateVariants() {
-		v := v
-		err := r.forEachTrace(func(name string) error {
-			run := func(ref bool) (*observatory.Recorder, error) {
-				tr, err := workload.Get(name, workload.Params{Instrs: r.opts.Instrs + r.opts.Warmup, Seed: r.opts.Seed})
-				if err != nil {
-					return nil, err
-				}
-				rec := observatory.NewRecorder()
-				_, err = sim.RunProbed(v.config(r.opts), trace.NewSource(tr), sim.Probes{
-					Digest:          rec,
-					ReferenceEngine: ref,
-				})
-				return rec, err
-			}
-			event, err := run(false)
+	var errs []error
+	for _, v := range engineGateVariants {
+		cfg := v.config(r.opts)
+		errs = append(errs, r.forEachTrace(func(name string) error {
+			err := sim.CompareEngines(cfg, func() ([]trace.Source, error) { return r.mixSources([]string{name}) }, 0)
 			if err != nil {
-				return fmt.Errorf("digest gate %s/%s (event): %w", v.label, name, err)
-			}
-			ref, err := run(true)
-			if err != nil {
-				return fmt.Errorf("digest gate %s/%s (reference): %w", v.label, name, err)
-			}
-			if event.Len() == 0 {
-				return fmt.Errorf("digest gate %s/%s: no digest checkpoints recorded", v.label, name)
-			}
-			if div, ok := observatory.FirstDivergence(event, ref); ok {
-				comp := "structural"
-				if div.Component >= 0 && div.Component < sim.NumComponents {
-					comp = sim.ComponentNames[div.Component]
-				}
-				mu.Lock()
-				failures = append(failures, fmt.Sprintf("%s/%s: %s digest diverges at cycle %d (%#x != %#x)",
-					v.label, name, comp, div.Cycle, div.A, div.B))
-				mu.Unlock()
+				return fmt.Errorf("digest gate %s/%s: %w", v.label, name, err)
 			}
 			return nil
-		})
-		if err != nil {
-			return err
-		}
+		}))
 	}
-	if len(failures) > 0 {
-		return fmt.Errorf("engine digest divergence:\n  %s", joinLines(failures))
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
-func joinLines(lines []string) string {
-	out := ""
-	for i, l := range lines {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += l
+// MulticoreEquivalenceGate is the multi-core twin of
+// DigestEquivalenceGate: representative 4-core mixes on the serial
+// lockstep reference, the barrier-parallel engine at the safety bound
+// and the parallel engine at barrier interval 1 (multicore.CompareEngines).
+// Both parallel runs must reproduce the reference's digest stream, stop
+// cycle, final digests and per-core results, which the weighted-speedup
+// table is computed from.
+func (r *Runner) MulticoreEquivalenceGate() error {
+	mixes := r.randomMixes()
+	if len(mixes) > 2 {
+		mixes = mixes[:2]
 	}
-	return out
+	var errs []error
+	for _, v := range engineGateVariants {
+		for mi, names := range mixes {
+			cfg := multicore.Config{Single: v.config(r.opts), Cores: len(names)}
+			// Same reduced per-core budget as the campaign's runMix, so
+			// the gate certifies exactly what Fig15 computes.
+			cfg.Single.MaxInstrs = r.opts.Instrs / 2
+			cfg.Single.WarmupInstrs = r.opts.Warmup / 2
+			mix := func() ([]trace.Source, error) { return r.mixSources(names) }
+			if err := multicore.CompareEngines(cfg, mix, 1024, multicore.Probes{}, multicore.Probes{Interval: 1}); err != nil {
+				errs = append(errs, fmt.Errorf("multicore gate %s/mix%02d: %w", v.label, mi, err))
+			}
+		}
+	}
+	return errors.Join(errs...)
 }

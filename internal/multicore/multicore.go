@@ -148,9 +148,8 @@ type Engine struct {
 	sys    *sim.ShardedSystem
 	noSkip bool
 
-	interval  mem.Cycle
-	workers   int
-	maxCycles mem.Cycle
+	interval mem.Cycle
+	workers  int
 
 	now          mem.Cycle
 	phase        int // 0 = warmup, 1 = measured
@@ -159,14 +158,8 @@ type Engine struct {
 	// reached[i] is the first cycle core i's retired count hit the
 	// current phase target, or mem.NoEvent while it has not.
 	reached []mem.Cycle
-	// Per-core wedge detection, advanced at barriers.
-	lastInstr  []uint64
-	lastProgAt []mem.Cycle
 
-	digSink  observatory.DigestSink
-	digEvery mem.Cycle
-	digNext  mem.Cycle
-	digBuf   []uint64
+	digests sim.DigestStream
 
 	// Persistent worker state: workers live for the duration of one
 	// RunToCycle call and execute stages described by the fields below
@@ -223,21 +216,14 @@ func NewEngine(cfg Config, mix []trace.Source, p Probes) (*Engine, error) {
 	if workers > cfg.Cores {
 		workers = cfg.Cores
 	}
-	maxCycles := cfg.Single.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = mem.Cycle(2000 * (cfg.Single.WarmupInstrs + cfg.Single.MaxInstrs))
-	}
 	e := &Engine{
-		cfg:        cfg,
-		mix:        mix,
-		sys:        sys,
-		noSkip:     p.ReferenceEngine,
-		interval:   interval,
-		workers:    workers,
-		maxCycles:  maxCycles,
-		reached:    make([]mem.Cycle, cfg.Cores),
-		lastInstr:  make([]uint64, cfg.Cores),
-		lastProgAt: make([]mem.Cycle, cfg.Cores),
+		cfg:      cfg,
+		mix:      mix,
+		sys:      sys,
+		noSkip:   p.ReferenceEngine,
+		interval: interval,
+		workers:  workers,
+		reached:  make([]mem.Cycle, cfg.Cores),
 	}
 	for i := range e.reached {
 		e.reached[i] = mem.NoEvent
@@ -253,17 +239,7 @@ func NewEngine(cfg Config, mix []trace.Source, p Probes) (*Engine, error) {
 		e.phase, e.target = 1, uint64(cfg.Single.MaxInstrs)
 	}
 	if p.Digest != nil {
-		e.digSink = p.Digest
-		e.digEvery = p.DigestEvery
-		if e.digEvery == 0 {
-			e.digEvery = sim.DefaultDigestEvery
-		}
-		e.digNext = e.digEvery
-		if rec, ok := p.Digest.(*observatory.Recorder); ok {
-			rec.EngineVersion = sim.EngineVersion
-			rec.Interval = e.digEvery
-			rec.Components = sim.MulticoreComponentNames(cfg.Cores)
-		}
+		e.digests.Arm(p.Digest, p.DigestEvery, sim.MulticoreComponentNames(cfg.Cores))
 	}
 	if p.Profile != nil {
 		p.Profile.EnsureRanks(sim.ShardProfileRanks[:])
@@ -474,9 +450,7 @@ func (e *Engine) stepEpoch(limit mem.Cycle) error {
 	if b > limit {
 		b = limit
 	}
-	if e.digSink != nil && b > e.digNext {
-		b = e.digNext
-	}
+	b = e.digests.Clamp(b)
 
 	// Stage 1: unfinished cores run toward the barrier, pausing where
 	// they reach the target.
@@ -509,8 +483,8 @@ func (e *Engine) stepEpoch(limit mem.Cycle) error {
 		e.mergeLink()
 		e.tracker.Tick(b)
 	}
-	if e.digSink != nil && e.now == e.digNext {
-		e.emitDigests()
+	if e.digests.Due(e.now) {
+		e.digests.Emit(e.now, e.StateDigests)
 	}
 	if stop != mem.NoEvent {
 		e.finishPhase()
@@ -539,8 +513,8 @@ func (e *Engine) stepLockstep() error {
 			e.reached[i] = u
 		}
 	}
-	if e.digSink != nil && e.now == e.digNext {
-		e.emitDigests()
+	if e.digests.Due(e.now) {
+		e.digests.Emit(e.now, e.StateDigests)
 	}
 	if e.allReached() {
 		e.finishPhase()
@@ -558,25 +532,17 @@ func (e *Engine) allReached() bool {
 	return true
 }
 
-// checkHealth is the barrier-granularity progress audit: a per-core
-// wedge detector (any unfinished core that has not retired an
-// instruction for a full wedge window fails the run — a single
-// black-holed core cannot hide behind its peers' progress) and the
-// cycle budget.
+// checkHealth is the barrier-granularity progress audit: every
+// unfinished core checks its own wedge tracker and the cycle budget
+// (sim.Machine.CheckHealth).
 func (e *Engine) checkHealth() error {
 	for i, m := range e.sys.Cores {
 		if e.reached[i] != mem.NoEvent {
 			continue
 		}
-		if n := m.Instructions(); n != e.lastInstr[i] {
-			e.lastInstr[i] = n
-			e.lastProgAt[i] = e.now
-		} else if e.now-e.lastProgAt[i] > sim.WedgeWindow {
-			return sim.ErrNoProgress
+		if err := m.CheckHealth(); err != nil {
+			return fmt.Errorf("core %d: %w", i, err)
 		}
-	}
-	if e.now > e.maxCycles {
-		return fmt.Errorf("multicore: cycle budget exhausted at %d", e.now)
 	}
 	return nil
 }
@@ -600,22 +566,11 @@ func (e *Engine) finishPhase() {
 		e.measureStart = e.now
 		for i := range e.reached {
 			e.reached[i] = mem.NoEvent
-			e.lastInstr[i] = 0
-			e.lastProgAt[i] = e.now
 		}
 		return
 	}
 	e.done = true
 	e.cycles = e.now - e.measureStart
-}
-
-// emitDigests samples the system digest vector at the current barrier.
-func (e *Engine) emitDigests() {
-	e.digBuf = e.StateDigests(e.digBuf[:0])
-	e.digSink.Digest(e.now, e.digBuf)
-	for e.digNext <= e.now {
-		e.digNext += e.digEvery
-	}
 }
 
 // result assembles the per-core snapshots and the final digest vector.
@@ -653,4 +608,39 @@ func RunProbed(cfg Config, mix []trace.Source, p Probes) (*Result, error) {
 		return nil, err
 	}
 	return e.Run()
+}
+
+// CompareEngines runs cfg's mix on the lockstep reference and then under
+// each of runs' probes (engine, barrier interval, workers), with digests
+// every `every` cycles, and requires every run to reproduce the
+// reference's digest stream and result (observatory.Compare). mix
+// returns fresh sources of the same traces on every call.
+func CompareEngines(cfg Config, mix func() ([]trace.Source, error), every mem.Cycle, runs ...Probes) error {
+	run := func(p Probes) observatory.Run {
+		return observatory.Run{
+			Result: func(rec *observatory.Recorder) (any, error) {
+				srcs, err := mix()
+				if err != nil {
+					return nil, err
+				}
+				q := p
+				q.Digest, q.DigestEvery = rec, every
+				res, err := RunProbed(cfg, srcs, q)
+				return res, err
+			},
+			Engine: func() (observatory.DigestEngine, error) {
+				srcs, err := mix()
+				if err != nil {
+					return nil, err
+				}
+				e, err := NewEngine(cfg, srcs, p)
+				return e, err
+			},
+		}
+	}
+	tests := make([]observatory.Run, len(runs))
+	for i, p := range runs {
+		tests[i] = run(p)
+	}
+	return observatory.Compare(run(Probes{ReferenceEngine: true}), tests, sim.MulticoreComponentNames(cfg.Cores))
 }

@@ -52,6 +52,23 @@ func TestFourCoreMixRuns(t *testing.T) {
 	}
 }
 
+// TestCoreCountsRejected: a core count whose shared LLC cannot be built
+// (no cores, or a bank count that leaves a set count that is not a power
+// of two) returns an error instead of panicking.
+func TestCoreCountsRejected(t *testing.T) {
+	for _, cores := range []int{0, 3, 5, 6} {
+		cfg := multicore.DefaultConfig()
+		cfg.Cores = cores
+		names := make([]string, cores)
+		for i := range names {
+			names[i] = "605.mcf-1554B"
+		}
+		if _, err := multicore.Run(cfg, mixSources(t, names, 1000)); err == nil {
+			t.Errorf("%d cores: built a shared LLC the engine cannot run", cores)
+		}
+	}
+}
+
 func TestMixSizeMismatch(t *testing.T) {
 	cfg := multicore.DefaultConfig()
 	_, err := multicore.Run(cfg, nil)

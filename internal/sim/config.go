@@ -61,8 +61,8 @@ type Config struct {
 	Classify bool
 
 	// WarmupInstrs run before statistics are reset; MaxInstrs then run
-	// measured. MaxCycles bounds runaway simulations (0 = 1000 cycles
-	// per instruction).
+	// measured. MaxCycles bounds runaway simulations (0 = 2000 cycles
+	// per warmup and measured instruction; see CycleBudget).
 	WarmupInstrs int
 	MaxInstrs    int
 	MaxCycles    mem.Cycle
@@ -109,7 +109,20 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration contradictions.
+// CycleBudget is the clock a run may reach before it fails as runaway:
+// MaxCycles, or 2000 cycles per warmup and measured instruction when
+// MaxCycles is zero. Every engine (single-core, SMT and multicore)
+// enforces this one budget.
+func (c Config) CycleBudget() mem.Cycle {
+	if c.MaxCycles > 0 {
+		return c.MaxCycles
+	}
+	return mem.Cycle(2000 * (c.WarmupInstrs + c.MaxInstrs))
+}
+
+// Validate reports configuration contradictions and sizes the model
+// cannot run: each rejected size either panics at build time or wedges
+// the run.
 func (c Config) Validate() error {
 	if c.SUF && !c.Secure {
 		return fmt.Errorf("sim: SUF requires the secure cache system")
@@ -121,18 +134,81 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: MaxInstrs must be positive, got %d", c.MaxInstrs)
 	}
 	for _, cc := range []cache.Config{c.L1D, c.L2, c.LLC} {
-		if cc.Ways <= 0 {
-			return fmt.Errorf("sim: %s needs at least one way, got %d", cc.Name, cc.Ways)
-		}
-		if n := cc.Sets(); n <= 0 || n&(n-1) != 0 {
-			return fmt.Errorf("sim: %s set count %d (%d KiB, %d ways) is not a power of two", cc.Name, n, cc.SizeKiB, cc.Ways)
+		if err := checkCache(cc); err != nil {
+			return err
 		}
 	}
-	if c.DRAM.Banks <= 0 {
-		return fmt.Errorf("sim: DRAM needs at least one bank, got %d", c.DRAM.Banks)
+	if err := positive("core", []size{
+		{"ROB", c.Core.ROBSize}, {"LQ", c.Core.LQSize}, {"store buffer", c.Core.StoreBuffer},
+		{"dispatch width", c.Core.DispatchWidth}, {"retire width", c.Core.RetireWidth},
+		{"loads issued per cycle", c.Core.IssueLoadsPerCycle},
+	}); err != nil {
+		return err
 	}
-	if c.Secure && c.GM.Lines <= 0 {
-		return fmt.Errorf("sim: the GhostMinion needs at least one line, got %d", c.GM.Lines)
+	if err := positive("DRAM", []size{
+		{"banks", c.DRAM.Banks}, {"RQ", c.DRAM.RQSize}, {"WQ", c.DRAM.WQSize},
+		{"row buffer KiB", c.DRAM.RowBufKiB}, {"requests per tick", c.DRAM.MaxRequestsPerTick},
+	}); err != nil {
+		return err
+	}
+	if c.Secure {
+		if err := positive("GhostMinion", []size{
+			{"lines", c.GM.Lines}, {"MSHRs", c.GM.MSHRs}, {"commit queue", c.GM.CommitQueue},
+		}); err != nil {
+			return err
+		}
+	}
+	if !c.DisableTLB {
+		for _, l := range []struct {
+			name string
+			tlb.Config
+		}{{"dTLB", c.TLB.L1}, {"STLB", c.TLB.STLB}} {
+			if l.Ways <= 0 {
+				return fmt.Errorf("sim: %s needs at least one way, got %d", l.name, l.Ways)
+			}
+			if n := l.Entries / l.Ways; n <= 0 || n&(n-1) != 0 {
+				return fmt.Errorf("sim: %s set count %d (%d entries, %d ways) is not a power of two", l.name, n, l.Entries, l.Ways)
+			}
+		}
+	}
+	return nil
+}
+
+// checkCache rejects a cache the model cannot build or run: no ways, a
+// set count that is not a positive power of two, or no MSHRs, queue
+// slots or per-cycle bandwidth for a request kind, which leaves such
+// requests waiting forever. Only the L1D may have no prefetch queue:
+// its prefetches are dropped at issue, while a deeper level's would
+// wait for a slot forever.
+func checkCache(cc cache.Config) error {
+	if cc.Ways <= 0 {
+		return fmt.Errorf("sim: %s needs at least one way, got %d", cc.Name, cc.Ways)
+	}
+	if n := cc.Sets(); n <= 0 || n&(n-1) != 0 {
+		return fmt.Errorf("sim: %s set count %d (%d KiB, %d ways) is not a power of two", cc.Name, n, cc.SizeKiB, cc.Ways)
+	}
+	pq := cc.PQSize
+	if cc.Level == mem.LvlL1D {
+		pq = 1
+	}
+	return positive(cc.Name, []size{
+		{"MSHRs", cc.MSHRs}, {"RQ", cc.RQSize}, {"WQ", cc.WQSize}, {"PQ", pq},
+		{"reads per cycle", cc.MaxReads}, {"writes per cycle", cc.MaxWrites}, {"fills per cycle", cc.MaxFills},
+	})
+}
+
+// size is one count of a component that needs at least one.
+type size struct {
+	name string
+	n    int
+}
+
+// positive rejects the first of a component's sizes below one.
+func positive(component string, sizes []size) error {
+	for _, s := range sizes {
+		if s.n <= 0 {
+			return fmt.Errorf("sim: %s %s must be positive, got %d", component, s.name, s.n)
+		}
 	}
 	return nil
 }

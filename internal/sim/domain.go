@@ -119,6 +119,18 @@ func (d *domain) attachProfile(p *observatory.Profile, names []string) {
 	d.prof = p
 }
 
+// retired sums the domain's retired-instruction counts and reports
+// whether every core has retired target or run out of trace.
+func (d *domain) retired(target uint64) (sum uint64, done bool) {
+	done = true
+	for i := range d.pairs[:d.np] {
+		c := d.pairs[i].core
+		sum += c.Stats.Instructions
+		done = done && (c.Stats.Instructions >= target || c.Done())
+	}
+	return sum, done
+}
+
 // tail returns the tail's calendar rank.
 func (d *domain) tail() int { return 2*d.np + d.nc }
 

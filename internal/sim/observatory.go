@@ -6,6 +6,7 @@ import (
 
 	"secpref/internal/mem"
 	"secpref/internal/observatory"
+	"secpref/internal/trace"
 )
 
 // EngineVersion identifies the simulation-engine generation. It is
@@ -78,37 +79,63 @@ func (m *Machine) StateDigests(dst []uint64) []uint64 {
 	return append(dst, comps[:]...)
 }
 
-// armDigests arms the rolling digest stream: the run emits the
-// per-component state digests into sink at every multiple of the
-// interval. The event engine clamps its calendar jumps to digest
-// boundaries so both engines sample the same cycles — visiting a
-// boundary cycle where nothing is due integrates one idle cycle per
-// rank, which is exactly what lockstep stepping does there.
-func (m *Machine) armDigests(sink observatory.DigestSink, every mem.Cycle) {
+// DigestStream is an engine's rolling state-digest stream: it hands
+// the engine's digest vector to a sink at every multiple of an
+// interval, warmup included, so streams from two engines compare end to
+// end. The event engine clamps its jumps to the stream's boundaries, so
+// every engine samples the same cycles: visiting a boundary cycle where
+// nothing is due integrates one idle cycle per rank, which is exactly
+// what lockstep stepping does there. The zero value is unarmed.
+type DigestStream struct {
+	sink  observatory.DigestSink
+	every mem.Cycle
+	next  mem.Cycle
+	buf   []uint64
+}
+
+// Arm starts the stream at cycle zero with interval every (zero means
+// DefaultDigestEvery). A Recorder sink is stamped with the engine
+// version, the interval and the vector's component names. A nil sink
+// leaves the stream unarmed.
+func (s *DigestStream) Arm(sink observatory.DigestSink, every mem.Cycle, names []string) {
 	if sink == nil {
 		return
 	}
 	if every == 0 {
 		every = DefaultDigestEvery
 	}
-	m.digSink = sink
-	m.digEvery = every
-	m.digNext = m.now - m.now%every + every
+	*s = DigestStream{sink: sink, every: every, next: every}
 	if rec, ok := sink.(*observatory.Recorder); ok {
 		rec.EngineVersion = EngineVersion
 		rec.Interval = every
-		rec.Components = ComponentNames[:]
+		rec.Components = names
 	}
 }
 
-// emitDigests samples the component digests at the current cycle and
-// advances the next digest boundary past it.
-func (m *Machine) emitDigests() {
-	m.digBuf = m.StateDigests(m.digBuf[:0])
-	m.digSink.Digest(m.now, m.digBuf)
-	for m.digNext <= m.now {
-		m.digNext += m.digEvery
+// Clamp lowers limit to the next digest boundary of an armed stream.
+func (s *DigestStream) Clamp(limit mem.Cycle) mem.Cycle {
+	if s.sink != nil && s.next < limit {
+		return s.next
 	}
+	return limit
+}
+
+// Due reports whether an armed stream's next boundary has been reached.
+func (s *DigestStream) Due(now mem.Cycle) bool { return s.sink != nil && now >= s.next }
+
+// Emit hands the digest vector that digests appends to the sink at
+// cycle now and moves the next boundary past it.
+func (s *DigestStream) Emit(now mem.Cycle, digests func([]uint64) []uint64) {
+	s.buf = digests(s.buf[:0])
+	s.sink.Digest(now, s.buf)
+	for s.next <= now {
+		s.next += s.every
+	}
+}
+
+// emitDigests emits the machine's digest vector at the current cycle.
+func (m *Machine) emitDigests() {
+	m.digests.Emit(m.now, m.StateDigests)
 	if m.prof != nil {
 		m.prof.TrackSample(uint64(m.now))
 	}
@@ -123,4 +150,58 @@ func (m *Machine) emitDigests() {
 func (m *Machine) RunToCycle(t mem.Cycle) (mem.Cycle, bool, error) {
 	err := m.run(math.MaxUint64, mem.NoEvent, t)
 	return m.now, err == nil && m.core.Done(), err
+}
+
+// CompareEngines runs cfg on the lockstep reference and on the event
+// engine, with digests every `every` cycles (zero means
+// DefaultDigestEvery), and requires bit-identical digest streams,
+// results and final StateDigests of every machine (observatory.Compare).
+// threads returns fresh sources of the same traces on every call: one
+// trace runs a single-core machine, two run the SMT core.
+func CompareEngines(cfg Config, threads func() ([]trace.Source, error), every mem.Cycle) error {
+	build := func(ref bool) ([]*Machine, []trace.Source, error) {
+		srcs, err := threads()
+		if err != nil {
+			return nil, nil, err
+		}
+		var ms []*Machine
+		if len(srcs) == 1 {
+			m, err := NewMachine(cfg, srcs[0])
+			if err != nil {
+				return nil, nil, err
+			}
+			ms = []*Machine{m}
+		} else if ms, err = BuildSMT(cfg, srcs); err != nil {
+			return nil, nil, err
+		}
+		ms[0].UseReferenceEngine(ref)
+		return ms, srcs, nil
+	}
+	run := func(ref bool) observatory.Run {
+		return observatory.Run{
+			Result: func(rec *observatory.Recorder) (any, error) {
+				ms, srcs, err := build(ref)
+				if err != nil {
+					return nil, err
+				}
+				start, err := runPhases(ms, Probes{Digest: rec, DigestEvery: every})
+				if err != nil {
+					return nil, err
+				}
+				final := make([][]uint64, len(ms))
+				for i, m := range ms {
+					final[i] = m.StateDigests(nil)
+				}
+				return []any{threadResults(ms, srcs, start), final}, nil
+			},
+			Engine: func() (observatory.DigestEngine, error) {
+				ms, _, err := build(ref)
+				if err != nil {
+					return nil, err
+				}
+				return ms[0], nil
+			},
+		}
+	}
+	return observatory.Compare(run(true), []observatory.Run{run(false)}, ComponentNames[:])
 }

@@ -179,31 +179,47 @@ func RunProbed(cfg Config, src trace.Source, p Probes) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.noSkip = p.ReferenceEngine
+	start, err := runPhases([]*Machine{m}, p)
+	if err != nil {
+		return nil, fmt.Errorf("%w (trace %s, %s)", err, src.Name(), cfg.Label())
+	}
+	return m.result(src.Name(), m.now-start), nil
+}
+
+// runPhases is the run sequence every single-core and SMT run shares,
+// on the domain of ms[0] (the SMT core's threads share it): attach p,
+// warm up until every core has retired WarmupInstrs, zero every
+// machine's counters, arm window sampling, then run until every core
+// has retired MaxInstrs. It returns the cycle the measured phase
+// started. p.ReferenceEngine, like UseReferenceEngine beforehand,
+// selects the reference engine.
+func runPhases(ms []*Machine, p Probes) (mem.Cycle, error) {
+	m := ms[0]
+	if p.ReferenceEngine {
+		m.UseReferenceEngine(true)
+	}
 	m.attachObserver(p.Observer)
 	m.attachProfile(p.Profile, rankNames[:])
-	m.armDigests(p.Digest, p.DigestEvery)
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = mem.Cycle(1000 * (cfg.WarmupInstrs + cfg.MaxInstrs))
-	}
+	m.digests.Arm(p.Digest, p.DigestEvery, ComponentNames[:])
+	budget := m.cfg.CycleBudget()
 
-	// Warmup phase.
-	if cfg.WarmupInstrs > 0 {
-		if err := m.runUntil(uint64(cfg.WarmupInstrs), maxCycles); err != nil {
-			return nil, fmt.Errorf("%w (warmup, trace %s, %s)", err, src.Name(), cfg.Label())
+	if w := m.cfg.WarmupInstrs; w > 0 {
+		if err := m.run(uint64(w), budget, mem.NoEvent); err != nil {
+			return 0, fmt.Errorf("warmup: %w", err)
 		}
-		m.resetStats()
+		for _, t := range ms {
+			t.resetStats()
+		}
 	}
 	m.armWindows(p.Window, p.WindowInstrs)
 
-	startCycle := m.now
-	if err := m.runUntil(uint64(cfg.MaxInstrs), maxCycles); err != nil {
-		return nil, fmt.Errorf("%w (trace %s, %s)", err, src.Name(), cfg.Label())
+	start := m.now
+	if err := m.run(uint64(m.cfg.MaxInstrs), budget, mem.NoEvent); err != nil {
+		return 0, err
 	}
 	m.flushWindow()
 	if m.classifier != nil {
 		m.classifier.Finalize()
 	}
-	return m.result(src.Name(), m.now-startCycle), nil
+	return start, nil
 }

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"secpref/internal/ghostminion"
 	"secpref/internal/mem"
 	"secpref/internal/stats"
+	"secpref/internal/tlb"
 )
 
 func TestAPKISplitNonSecure(t *testing.T) {
@@ -148,6 +150,28 @@ func TestValidate(t *testing.T) {
 	cfg.SUF = true
 	if err := cfg.Validate(); err == nil {
 		t.Error("SUF without Secure should fail validation")
+	}
+	for _, c := range invalidConfigs {
+		cfg := obsConfig()
+		c.mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s should fail validation", c.name)
+		}
+	}
+	// These zeros run normally: no L1D prefetch queue drops prefetches
+	// at issue, no shared port budget leaves the per-class limits alone,
+	// and the GhostMinion and TLB are not built.
+	for name, mut := range map[string]func(*Config){
+		"no L1D PQ":           func(c *Config) { c.L1D.PQSize = 0 },
+		"no L1D port budget":  func(c *Config) { c.L1D.TotalPorts = 0 },
+		"non-secure, no GM":   func(c *Config) { c.Secure, c.SUF, c.GM = false, false, ghostminion.Config{} },
+		"TLB off, zero-sized": func(c *Config) { c.DisableTLB, c.TLB = true, tlb.HierarchyConfig{} },
+	} {
+		cfg := obsConfig()
+		mut(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 	_ = stats.CacheStats{}
 }

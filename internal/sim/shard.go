@@ -15,6 +15,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"secpref/internal/cache"
 	"secpref/internal/dram"
 	"secpref/internal/mem"
@@ -342,10 +344,12 @@ func BuildSharded(cfg Config, cores int, mix []trace.Source, linkLat mem.Cycle, 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if cores <= 0 || len(mix) != cores {
+		return nil, fmt.Errorf("sim: a sharded system needs one trace per core, got %d traces for %d cores", len(mix), cores)
+	}
 	if linkLat <= 0 {
 		linkLat = DefaultLinkLatency
 	}
-	channel := dram.New(cfg.DRAM)
 	// The shared LLC scales the per-core bank config by the core count:
 	// capacity, MSHRs, queues, and ports all multiply (with the default
 	// cache.LLCConfig(1) bank this reproduces cache.LLCConfig(cores)
@@ -361,6 +365,10 @@ func BuildSharded(cfg Config, cores int, mix []trace.Source, linkLat mem.Cycle, 
 	llcCfg.MaxReads *= cores
 	llcCfg.MaxWrites *= cores
 	llcCfg.MaxFills *= cores
+	if err := checkCache(llcCfg); err != nil {
+		return nil, fmt.Errorf("%w (the shared LLC of %d cores)", err, cores)
+	}
+	channel := dram.New(cfg.DRAM)
 	llc := cache.New(llcCfg, channel)
 	sharedPool := &mem.RequestPool{}
 	channel.SetPool(sharedPool)

@@ -65,57 +65,27 @@ func BuildSMT(cfg Config, threads []trace.Source) ([]*Machine, error) {
 	return machines, nil
 }
 
-// RunSMT simulates a 2-thread SMT pair on the reference engine until
-// both threads retire the configured instruction budget, returning
-// per-thread results.
+// RunSMT simulates a 2-thread SMT pair until both threads retire the
+// configured instruction budget, returning per-thread results. It runs
+// the single-core phase sequence on the SMT core's domain.
 func RunSMT(cfg Config, threads []trace.Source) ([]*Result, error) {
 	machines, err := BuildSMT(cfg, threads)
 	if err != nil {
 		return nil, err
 	}
-	d := &machines[0].domain
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = mem.Cycle(2000 * (cfg.WarmupInstrs + cfg.MaxInstrs))
+	start, err := runPhases(machines, Probes{})
+	if err != nil {
+		return nil, fmt.Errorf("%w (SMT traces %s+%s, %s)", err, threads[0].Name(), threads[1].Name(), cfg.Label())
 	}
-	var wedge progress
-	runTo := func(n uint64) error {
-		for {
-			done := true
-			var sum uint64
-			for _, m := range machines {
-				if m.Instructions() < n {
-					done = false
-				}
-				sum += m.Instructions()
-			}
-			if done {
-				return nil
-			}
-			d.step()
-			if err := wedge.check(sum, d.now); err != nil {
-				return err
-			}
-			if d.now > maxCycles {
-				return fmt.Errorf("sim: SMT cycle budget exhausted at %d", d.now)
-			}
-		}
-	}
-	if cfg.WarmupInstrs > 0 {
-		if err := runTo(uint64(cfg.WarmupInstrs)); err != nil {
-			return nil, err
-		}
-		for _, m := range machines {
-			m.resetStats()
-		}
-	}
-	start := d.now
-	if err := runTo(uint64(cfg.MaxInstrs)); err != nil {
-		return nil, err
-	}
+	return threadResults(machines, threads, start), nil
+}
+
+// threadResults assembles each thread's result over the measured phase
+// that started at cycle start.
+func threadResults(machines []*Machine, threads []trace.Source, start mem.Cycle) []*Result {
 	var out []*Result
 	for i, m := range machines {
-		out = append(out, m.result(threads[i].Name(), d.now-start))
+		out = append(out, m.result(threads[i].Name(), machines[0].now-start))
 	}
-	return out, nil
+	return out
 }
