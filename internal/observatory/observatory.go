@@ -2,7 +2,7 @@
 // where a simulation's host cycles went and proves, cheaply and
 // continuously, that two engines executed the same machine.
 //
-// It has three parts, all zero-overhead-when-off like internal/probe:
+// It has four parts, all zero-overhead-when-off like internal/probe:
 //
 //   - Attribution profiling (Profile): per-component-rank tick and
 //     integrate counts, wake-poke causes, conditional re-arm outcomes,
@@ -18,6 +18,9 @@
 //   - Divergence bisection (Bisect): drives two deterministic engines
 //     against each other and binary-searches to the first divergent
 //     (cycle, component).
+//   - The engine comparison (Compare): runs a reference and the runs
+//     under test, compares their digest streams and results, and
+//     bisects any mismatch. Every engine-equivalence check calls it.
 //
 // The package deliberately depends only on internal/mem and the
 // stdlib-only internal/export, so every component package can
