@@ -3,6 +3,7 @@ package observatory
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -247,5 +248,49 @@ func TestBisectScripted(t *testing.T) {
 	}
 	if div == nil || div.Component != -1 {
 		t.Errorf("clock divergence not structural: %v", div)
+	}
+}
+
+// scriptedRun is a Run over a scriptedEngine: its Result records the
+// engine's digests every 1024 cycles up to end and returns res and err.
+func scriptedRun(end mem.Cycle, comp func(mem.Cycle) []uint64, res any, err error) Run {
+	return Run{
+		Result: func(rec *Recorder) (any, error) {
+			rec.Interval = 1024
+			for c := mem.Cycle(1024); c <= end; c += 1024 {
+				rec.Digest(c, comp(c))
+			}
+			return res, err
+		},
+		Engine: func() (DigestEngine, error) { return &scriptedEngine{end: end, comp: comp}, nil },
+	}
+}
+
+func TestCompareScripted(t *testing.T) {
+	clean := func(mem.Cycle) []uint64 { return []uint64{1, 2, 3} }
+	faulty := func(c mem.Cycle) []uint64 {
+		if c >= 3000 {
+			return []uint64{1, 99, 3}
+		}
+		return clean(c)
+	}
+	names := []string{"core", "l1d", "l2"}
+	ref := scriptedRun(10_000, clean, 42, nil)
+	if err := Compare(ref, []Run{scriptedRun(10_000, clean, 42, nil)}, names); err != nil {
+		t.Fatalf("equal runs: %v", err)
+	}
+	err := Compare(ref, []Run{scriptedRun(10_000, clean, 42, nil), scriptedRun(10_000, faulty, 42, nil)}, names)
+	if want := "run 1 diverges from the reference at cycle 3000 in l1d"; err == nil || err.Error() != want {
+		t.Errorf("divergent run: got %v, want %q", err, want)
+	}
+	if err := Compare(ref, []Run{scriptedRun(10_000, clean, 43, nil)}, names); err == nil {
+		t.Error("a result that differs at equal digests passed")
+	}
+	boom := errors.New("boom")
+	if err := Compare(scriptedRun(10_000, clean, nil, boom), nil, names); !errors.Is(err, boom) {
+		t.Errorf("failing reference: got %v, want it wrapped", err)
+	}
+	if err := Compare(ref, []Run{scriptedRun(10_000, clean, 42, boom)}, names); err == nil || errors.Is(err, boom) {
+		t.Errorf("failing run: got %v, want it reported but not wrapped", err)
 	}
 }
