@@ -45,13 +45,13 @@ func TestDiagShapes(t *testing.T) {
 				t.Errorf("%s: %v", tc.label, err)
 				continue
 			}
-			if err := m.runUntil(uint64(cfg.WarmupInstrs), 1<<40); err != nil {
+			if err := m.run(m.Instructions()+uint64(cfg.WarmupInstrs), 1<<40, mem.NoEvent); err != nil {
 				t.Errorf("%s: %v", tc.label, err)
 				continue
 			}
 			m.resetStats()
 			start := m.now
-			if err := m.runUntil(uint64(cfg.MaxInstrs), 1<<40); err != nil {
+			if err := m.run(m.Instructions()+uint64(cfg.MaxInstrs), 1<<40, mem.NoEvent); err != nil {
 				t.Errorf("%s: %v", tc.label, err)
 				continue
 			}

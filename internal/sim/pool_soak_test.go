@@ -46,7 +46,7 @@ func poolSoak(t *testing.T, probed bool) {
 	maxCycles := mem.Cycle(1000 * cfg.MaxInstrs)
 
 	// Phase 1: reach steady state.
-	if err := m.runUntil(10_000, maxCycles); err != nil {
+	if err := m.run(m.Instructions()+10_000, maxCycles, mem.NoEvent); err != nil {
 		t.Fatalf("soak phase 1: %v", err)
 	}
 	newsBefore, getsBefore := m.pool.News, m.pool.Gets
@@ -55,7 +55,7 @@ func poolSoak(t *testing.T, probed bool) {
 	}
 
 	// Phase 2: four times as much traffic must allocate almost nothing new.
-	if err := m.runUntil(40_000, maxCycles); err != nil {
+	if err := m.run(m.Instructions()+40_000, maxCycles, mem.NoEvent); err != nil {
 		t.Fatalf("soak phase 2: %v", err)
 	}
 	newsGrowth := m.pool.News - newsBefore

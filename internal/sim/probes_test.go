@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"secpref/internal/mem"
 	"secpref/internal/probe"
 )
 
@@ -124,8 +125,8 @@ func TestSampleWindowZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
 	}
-	if err := m.runUntil(5000, 1<<40); err != nil {
-		t.Fatalf("runUntil: %v", err)
+	if err := m.run(m.Instructions()+5000, 1<<40, mem.NoEvent); err != nil {
+		t.Fatalf("run: %v", err)
 	}
 	m.armWindows(probe.NewIntervalSampler(512), 1000)
 	if avg := testing.AllocsPerRun(200, m.sampleWindow); avg != 0 {

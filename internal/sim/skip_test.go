@@ -16,13 +16,13 @@ func runMachine(t *testing.T, m *Machine, cfg Config) *Result {
 		maxCycles = mem.Cycle(1000 * (cfg.WarmupInstrs + cfg.MaxInstrs))
 	}
 	if cfg.WarmupInstrs > 0 {
-		if err := m.runUntil(uint64(cfg.WarmupInstrs), maxCycles); err != nil {
+		if err := m.run(m.Instructions()+uint64(cfg.WarmupInstrs), maxCycles, mem.NoEvent); err != nil {
 			t.Fatalf("warmup: %v", err)
 		}
 		m.resetStats()
 	}
 	start := m.now
-	if err := m.runUntil(uint64(cfg.MaxInstrs), maxCycles); err != nil {
+	if err := m.run(m.Instructions()+uint64(cfg.MaxInstrs), maxCycles, mem.NoEvent); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	return m.result("t", m.now-start)

@@ -46,7 +46,7 @@ func wedgedMachine(t *testing.T, noSkip bool) *Machine {
 func TestWedgeDetectionQuiescent(t *testing.T) {
 	run := func(noSkip bool) (*Machine, error) {
 		m := wedgedMachine(t, noSkip)
-		return m, m.runUntil(10_000, 100_000_000)
+		return m, m.run(m.Instructions()+10_000, 100_000_000, mem.NoEvent)
 	}
 
 	skipM, skipErr := run(false)
