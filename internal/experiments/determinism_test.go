@@ -4,8 +4,9 @@ import (
 	"testing"
 )
 
-// TestRunnerParallelismInvariant regenerates an experiment serially and
-// with the default worker count: the rendered tables must match exactly.
+// TestRunnerParallelismInvariant regenerates experiments of every run
+// kind serially and with the default worker count: the rendered tables
+// must match exactly.
 // Each simulation owns its machine (and its request pool), so scheduling
 // order must be invisible in the output — this is the contract that lets
 // the campaign fan out across cores without sacrificing reproducibility.
@@ -17,11 +18,12 @@ func TestRunnerParallelismInvariant(t *testing.T) {
 		opts := QuickOptions()
 		opts.Instrs = 6000
 		opts.Warmup = 1000
+		opts.Mixes = 2
 		opts.Traces = []string{"605.mcf-1554B", "bfs-3B", "619.lbm-2676B"}
 		opts.Parallelism = parallelism
 		r := NewRunner(opts)
 		out := ""
-		for _, id := range []string{"fig4", "fig6"} {
+		for _, id := range []string{"fig4", "fig6", "fig15", "smt-suf", "ablate-gm", "leakage-audit"} {
 			tab, err := r.Run(id)
 			if err != nil {
 				t.Fatalf("%s (p=%d): %v", id, parallelism, err)

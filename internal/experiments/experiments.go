@@ -4,9 +4,13 @@
 // paper plots; cmd/experiments prints them and bench_test.go wraps them
 // in benchmarks.
 //
-// Results are memoized by (trace, configuration) and shared across
-// figures — Fig. 1, 3, 4, 13 and 14 reuse the same runs — and the
-// runner fans simulations out across CPUs.
+// Every simulation the runner starts goes through one memo, keyed by
+// the run's full input: its kind (single-core, audited, SMT, multicore,
+// consolidation or engine comparison), its trace names and its
+// sim.Config. Two variants that build the same system therefore share
+// one run whatever their labels, and Fig. 1, 3, 4, 13, 14 and the
+// ablations reuse each other's runs. The runner fans simulations out
+// across CPUs, at most Options.Parallelism at a time.
 package experiments
 
 import (
@@ -40,19 +44,24 @@ type Options struct {
 	Mixes int
 	// Seed drives workload generation and mix selection.
 	Seed int64
-	// Parallelism bounds concurrent simulations (default: GOMAXPROCS).
+	// Parallelism bounds concurrent simulations, engine comparisons
+	// and attack-harness rows (default: GOMAXPROCS).
 	Parallelism int
 	// TimeseriesDir, when non-empty, attaches an interval sampler and a
-	// request-lifecycle tracer to every single-core run and exports
-	// <trace>__<label>.series.json, .series.csv, and .trace.json into the
-	// directory. Attached probes never change the simulated results.
+	// request-lifecycle tracer to every single-core run but the
+	// leakage audit's (whose observer slot holds the auditor) and
+	// exports <trace>__<label>.series.json, .series.csv, and
+	// .trace.json into the directory; consolidation runs export their
+	// interference snapshot there. Attached probes never change the
+	// simulated results.
 	TimeseriesDir string
 	// Campaign, when non-nil, receives live run/instruction counters as
 	// the campaign progresses (cmd/experiments wires it to -http).
 	Campaign *probe.Campaign
 	// Profile, when non-nil, aggregates engine-attribution counters
-	// (internal/observatory) across every run of the campaign. Like the
-	// other probes, attaching it never changes simulated results.
+	// (internal/observatory) across every single-core and multicore run
+	// of the campaign. Like the other probes, attaching it never
+	// changes simulated results.
 	Profile *observatory.Aggregate
 }
 
@@ -78,19 +87,25 @@ func QuickOptions() Options {
 type Runner struct {
 	opts Options
 
-	mu      sync.Mutex
-	results map[resultKey]*entry
-	sem     chan struct{}
+	mu   sync.Mutex
+	runs map[runKey]*entry
+	sem  chan struct{}
 }
 
-type resultKey struct {
-	trace string
-	label string
+// runKey is a run's full input: its kind (what the run returns and
+// which probes it carries), its trace names joined by "+" (one per
+// core or SMT thread) and its per-core configuration. sim.Config is a
+// comparable struct; the runner's seed and trace length complete the
+// input and are fixed per runner.
+type runKey struct {
+	kind   string
+	traces string
+	cfg    sim.Config
 }
 
 type entry struct {
 	once sync.Once
-	res  *sim.Result
+	val  any
 	err  error
 }
 
@@ -116,9 +131,9 @@ func NewRunner(opts Options) *Runner {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return &Runner{
-		opts:    opts,
-		results: make(map[resultKey]*entry),
-		sem:     make(chan struct{}, opts.Parallelism),
+		opts: opts,
+		runs: make(map[runKey]*entry),
+		sem:  make(chan struct{}, opts.Parallelism),
 	}
 }
 
@@ -132,7 +147,8 @@ type cfgVariant struct {
 	mode       sim.Mode
 	secure     bool
 	suf        bool
-	classify   bool
+	// edit, when set, adjusts the built configuration (see with).
+	edit func(*sim.Config)
 }
 
 func (v cfgVariant) config(opts Options) sim.Config {
@@ -143,7 +159,6 @@ func (v cfgVariant) config(opts Options) sim.Config {
 	cfg.Mode = v.mode
 	cfg.Secure = v.secure
 	cfg.SUF = v.suf
-	cfg.Classify = v.classify
 	// The paper's TS monitoring intervals (512/4096 misses) assume
 	// 200M-instruction runs; scale the L2 prefetchers' interval down so
 	// the adaptation can engage at harness scale (L1D's 512 already
@@ -151,7 +166,26 @@ func (v cfgVariant) config(opts Options) sim.Config {
 	if opts.Instrs < 10_000_000 && (v.prefetcher == "bingo" || v.prefetcher == "spp-ppf") {
 		cfg.LatenessInterval = 512
 	}
+	if v.edit != nil {
+		v.edit(&cfg)
+	}
 	return cfg
+}
+
+// with returns v with edit applied to its configuration after v's own
+// edit, labeled v's label + "+" + suffix. Labels name exported files;
+// the memo keys on the configuration, so an edit that changes nothing
+// reuses v's runs.
+func (v cfgVariant) with(suffix string, edit func(*sim.Config)) cfgVariant {
+	prev := v.edit
+	v.label += "+" + suffix
+	v.edit = func(c *sim.Config) {
+		if prev != nil {
+			prev(c)
+		}
+		edit(c)
+	}
+	return v
 }
 
 // The recurring variants of the paper's legends.
@@ -192,9 +226,7 @@ func timelySecureSUF(pf string) cfgVariant {
 }
 
 func classified(v cfgVariant) cfgVariant {
-	v.classify = true
-	v.label += "+classify"
-	return v
+	return v.with("classify", func(c *sim.Config) { c.Classify = true })
 }
 
 // Lifecycle-tracer sizing for campaign runs: sample every 32nd load and
@@ -206,108 +238,195 @@ const (
 	traceRingCap     = 1 << 13
 )
 
-// result runs (or returns the memoized) simulation of variant v on the
-// named trace.
-func (r *Runner) result(traceName string, v cfgVariant) (*sim.Result, error) {
-	key := resultKey{traceName, v.label}
+// memo runs, or returns the memoized outcome of, the run under key. It
+// is the one place the runner starts a simulation: the run holds one
+// -p slot while it executes, is counted in the campaign, and its
+// profile (nil unless Options.Profile is set; runs that take no probes
+// leave it empty) is folded into the campaign aggregate. run returns
+// its value with the retired instructions and simulated cycles the
+// campaign counts. A run must never call back into memo: it would wait
+// for a second slot while holding one.
+func memo[T any](r *Runner, key runKey, run func(prof *observatory.Profile) (T, uint64, uint64, error)) (T, error) {
 	r.mu.Lock()
-	e, ok := r.results[key]
+	e, ok := r.runs[key]
 	if !ok {
 		e = &entry{}
-		r.results[key] = e
+		r.runs[key] = e
 	}
 	r.mu.Unlock()
 	e.once.Do(func() {
-		r.sem <- struct{}{}
-		defer func() { <-r.sem }()
-		tr, err := workload.Get(traceName, workload.Params{Instrs: r.opts.Instrs + r.opts.Warmup, Seed: r.opts.Seed})
-		if err != nil {
-			e.err = err
-			return
-		}
-		if c := r.opts.Campaign; c != nil {
-			c.RunStarted()
-			defer func() {
-				if e.err != nil {
-					c.RunFailed()
-				} else {
-					c.RunDone(e.res.Instructions, e.res.Cycles)
-				}
-			}()
-		}
-		src := trace.NewSource(tr)
-		var probes sim.Probes
-		var prof *observatory.Profile
-		if r.opts.Profile != nil {
-			prof = observatory.NewProfile()
-			probes.Profile = prof
-		}
-		if r.opts.TimeseriesDir == "" {
-			e.res, e.err = sim.RunProbed(v.config(r.opts), src, probes)
-		} else {
-			sampler := probe.NewIntervalSampler(r.opts.Instrs/int(sim.DefaultWindowInstrs) + 2)
-			tracer := probe.NewTracer(traceSampleEvery, traceRingCap)
-			probes.Observer = tracer
-			probes.Window = sampler
-			e.res, e.err = sim.RunProbed(v.config(r.opts), src, probes)
-			if e.err == nil {
-				e.err = export.WriteFiles(r.opts.TimeseriesDir, probe.RunFiles(traceName, v.label, sampler, tracer)...)
+		r.bounded(func() {
+			var prof *observatory.Profile
+			if r.opts.Profile != nil {
+				prof = observatory.NewProfile()
 			}
-		}
-		if e.err == nil && prof != nil {
-			r.opts.Profile.Add(prof)
-		}
+			c := r.opts.Campaign
+			if c != nil {
+				c.RunStarted()
+			}
+			val, instrs, cycles, err := run(prof)
+			e.val, e.err = val, err
+			switch {
+			case err != nil && c != nil:
+				c.RunFailed()
+			case c != nil:
+				c.RunDone(instrs, cycles)
+			}
+			if err == nil && prof != nil {
+				r.opts.Profile.Add(prof)
+			}
+		})
 	})
-	return e.res, e.err
+	val, _ := e.val.(T)
+	return val, e.err
 }
 
-// forEachTrace runs fn for every trace in parallel and joins their
-// errors in trace order.
-func (r *Runner) forEachTrace(fn func(name string) error) error {
+// bounded runs fn holding one of the runner's -p slots.
+func (r *Runner) bounded(fn func()) {
+	r.sem <- struct{}{}
+	defer func() { <-r.sem }()
+	fn()
+}
+
+// sources returns fresh sources of the named traces at the runner's
+// length and seed.
+func (r *Runner) sources(names ...string) ([]trace.Source, error) {
+	srcs := make([]trace.Source, len(names))
+	for i, name := range names {
+		tr, err := workload.Get(name, workload.Params{Instrs: r.opts.Instrs + r.opts.Warmup, Seed: r.opts.Seed})
+		if err != nil {
+			return nil, err
+		}
+		srcs[i] = trace.NewSource(tr)
+	}
+	return srcs, nil
+}
+
+// sharedConfig is v's configuration for one core of a machine that
+// runs several traces (an SMT thread or a multicore core): half the
+// runner's budgets, so a campaign of many mixes stays tractable.
+func (r *Runner) sharedConfig(v cfgVariant) sim.Config {
+	cfg := v.config(r.opts)
+	cfg.MaxInstrs = r.opts.Instrs / 2
+	cfg.WarmupInstrs = r.opts.Warmup / 2
+	return cfg
+}
+
+// result runs (or returns the memoized) simulation of variant v on the
+// named trace, exporting its time series and lifecycle trace under
+// v's label when Options.TimeseriesDir is set.
+func (r *Runner) result(traceName string, v cfgVariant) (*sim.Result, error) {
+	cfg := v.config(r.opts)
+	return memo(r, runKey{"sim", traceName, cfg}, func(prof *observatory.Profile) (*sim.Result, uint64, uint64, error) {
+		srcs, err := r.sources(traceName)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		probes := sim.Probes{Profile: prof}
+		var sampler *probe.IntervalSampler
+		var tracer *probe.Tracer
+		if r.opts.TimeseriesDir != "" {
+			sampler = probe.NewIntervalSampler(r.opts.Instrs/int(sim.DefaultWindowInstrs) + 2)
+			tracer = probe.NewTracer(traceSampleEvery, traceRingCap)
+			probes.Observer, probes.Window = tracer, sampler
+		}
+		res, err := sim.RunProbed(cfg, srcs[0], probes)
+		if err == nil && tracer != nil {
+			err = export.WriteFiles(r.opts.TimeseriesDir, probe.RunFiles(traceName, v.label, sampler, tracer)...)
+		}
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		return res, res.Instructions, res.Cycles, nil
+	})
+}
+
+// parallel runs fn(0..n-1) concurrently and joins their errors in
+// index order. The memo bounds how many simulations run at once.
+func parallel(n int, fn func(i int) error) error {
 	var wg sync.WaitGroup
-	errs := make([]error, len(r.opts.Traces))
-	for i, name := range r.opts.Traces {
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i int, name string) {
+		go func() {
 			defer wg.Done()
-			errs[i] = fn(name)
-		}(i, name)
+			errs[i] = fn(i)
+		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
-// speedups collects per-trace speedups of v over the non-secure
-// no-prefetch baseline.
-func (r *Runner) speedups(v cfgVariant) (map[string]float64, error) {
-	out := make(map[string]float64, len(r.opts.Traces))
-	var mu sync.Mutex
-	err := r.forEachTrace(func(name string) error {
-		base, err := r.result(name, baseNonSecure())
-		if err != nil {
-			return err
-		}
-		res, err := r.result(name, v)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		out[name] = res.Speedup(base)
-		mu.Unlock()
-		return nil
+// perTrace is the one per-trace fold: it evaluates fn on every trace
+// of the runner in parallel and returns the values by trace.
+func perTrace[T any](r *Runner, fn func(trace string) (T, error)) (map[string]T, error) {
+	vals := make([]T, len(r.opts.Traces))
+	err := parallel(len(vals), func(i int) (err error) {
+		vals[i], err = fn(r.opts.Traces[i])
+		return err
 	})
+	out := make(map[string]T, len(vals))
+	for i, name := range r.opts.Traces {
+		out[name] = vals[i]
+	}
 	return out, err
 }
 
-// geomean returns the geometric mean of the map's values (the paper's
-// averaging rule for normalized numbers).
-func geomean(m map[string]float64) float64 {
-	if len(m) == 0 {
-		return 0
+// metric returns the arithmetic mean of f over every trace's run of v
+// (the averaging rule for raw metrics).
+func (r *Runner) metric(v cfgVariant, f func(*sim.Result) float64) (float64, error) {
+	m, err := perTrace(r, func(name string) (float64, error) {
+		res, err := r.result(name, v)
+		if err != nil {
+			return 0, err
+		}
+		return f(res), nil
+	})
+	return mean(m), err
+}
+
+// speedupsOver returns each trace's speedup of v over base.
+func (r *Runner) speedupsOver(base, v cfgVariant) (map[string]float64, error) {
+	return perTrace(r, func(name string) (float64, error) {
+		b, err := r.result(name, base)
+		if err != nil {
+			return 0, err
+		}
+		res, err := r.result(name, v)
+		if err != nil {
+			return 0, err
+		}
+		return res.Speedup(b), nil
+	})
+}
+
+// speedups returns each trace's speedup of v over the non-secure
+// no-prefetch baseline.
+func (r *Runner) speedups(v cfgVariant) (map[string]float64, error) {
+	return r.speedupsOver(baseNonSecure(), v)
+}
+
+// inOrder returns m's values in sorted-key order, so that sums over a
+// map do not depend on its iteration order.
+func inOrder(m map[string]float64) []float64 {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
+	sort.Strings(keys)
+	vals := make([]float64, len(keys))
+	for i, k := range keys {
+		vals[i] = m[k]
+	}
+	return vals
+}
+
+// geomean returns the geometric mean of the map's positive values (the
+// paper's averaging rule for normalized numbers).
+func geomean(m map[string]float64) float64 {
 	s := 0.0
 	n := 0
-	for _, v := range m {
+	for _, v := range inOrder(m) {
 		if v > 0 {
 			s += math.Log(v)
 			n++
@@ -319,34 +438,17 @@ func geomean(m map[string]float64) float64 {
 	return math.Exp(s / float64(n))
 }
 
-// mean returns the arithmetic mean (the rule for raw metrics).
-func mean(vals []float64) float64 {
-	if len(vals) == 0 {
+// mean returns the arithmetic mean of the map's values (the rule for
+// raw metrics).
+func mean(m map[string]float64) float64 {
+	if len(m) == 0 {
 		return 0
 	}
 	s := 0.0
-	for _, v := range vals {
+	for _, v := range inOrder(m) {
 		s += v
 	}
-	return s / float64(len(vals))
-}
-
-// collect gathers one metric over all traces for a variant and averages
-// arithmetically.
-func (r *Runner) collect(v cfgVariant, metric func(*sim.Result) float64) (float64, error) {
-	var mu sync.Mutex
-	var vals []float64
-	err := r.forEachTrace(func(name string) error {
-		res, err := r.result(name, v)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		vals = append(vals, metric(res))
-		mu.Unlock()
-		return nil
-	})
-	return mean(vals), err
+	return s / float64(len(m))
 }
 
 // sortedTraces returns the runner's traces in registry order.

@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"secpref/internal/cache"
 	"secpref/internal/mem"
+	"secpref/internal/observatory"
 	"secpref/internal/sim"
-	"secpref/internal/trace"
-	"secpref/internal/workload"
 )
 
 // Extension experiments beyond the numbered figures: the §VII-B SMT
@@ -25,52 +23,40 @@ func (r *Runner) SMTSUF() (*Table, error) {
 	t := &Table{
 		ID:     "smt-suf",
 		Title:  "SUF accuracy on a 2-way SMT core (TSB+SUF)",
-		Header: []string{"thread pair", "suf-acc%% t0", "suf-acc%% t1", "drops/KI t0"},
+		Header: []string{"thread pair", "suf-acc% t0", "suf-acc% t1", "drops/KI t0"},
 	}
 	pairs := r.smtPairs()
-	type row struct{ cells []string }
-	rows := make([]row, len(pairs))
-	errs := make([]error, len(pairs))
-	var wg sync.WaitGroup
-	for i, pair := range pairs {
-		wg.Add(1)
-		go func(i int, pair [2]string) {
-			defer wg.Done()
-			v := timelySecureSUF("berti")
-			cfg := v.config(r.opts)
-			cfg.MaxInstrs = r.opts.Instrs / 2
-			cfg.WarmupInstrs = r.opts.Warmup / 2
-			srcs := make([]trace.Source, 2)
-			for j, name := range pair {
-				tr, err := workload.Get(name, workload.Params{Instrs: r.opts.Instrs + r.opts.Warmup, Seed: r.opts.Seed})
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				srcs[j] = trace.NewSource(tr)
+	cfg := r.sharedConfig(timelySecureSUF("berti"))
+	rows := make([][]string, len(pairs))
+	err := parallel(len(pairs), func(i int) error {
+		pair := pairs[i][:]
+		// SMT runs take no probes, so the profile stays empty.
+		res, err := memo(r, runKey{"smt", pair[0] + "+" + pair[1], cfg}, func(*observatory.Profile) ([]*sim.Result, uint64, uint64, error) {
+			srcs, err := r.sources(pair...)
+			if err != nil {
+				return nil, 0, 0, err
 			}
 			res, err := sim.RunSMT(cfg, srcs)
 			if err != nil {
-				errs[i] = err
-				return
+				return nil, 0, 0, err
 			}
-			rows[i] = row{cells: []string{
-				pair[0] + "+" + pair[1],
-				f1(res[0].SUFAccuracy() * 100),
-				f1(res[1].SUFAccuracy() * 100),
-				f1(perKI(res[0].Core.SUFDrops, res[0].Instructions)),
-			}}
-		}(i, pair)
-	}
-	wg.Wait()
-	for _, err := range errs {
+			return res, res[0].Instructions + res[1].Instructions, res[0].Cycles, nil
+		})
 		if err != nil {
-			return nil, err
+			return err
 		}
+		rows[i] = []string{
+			pair[0] + "+" + pair[1],
+			f1(res[0].SUFAccuracy() * 100),
+			f1(res[1].SUFAccuracy() * 100),
+			f1(perKI(res[0].Core.SUFDrops, res[0].Instructions)),
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, rw := range rows {
-		t.AddRow(rw.cells...)
-	}
+	t.Rows = rows
 	t.Notes = append(t.Notes,
 		"paper: SMT average accuracy stays above 99%; same-trace pairs (mcf, cc, bc) drop to ~92%")
 	return t, nil
@@ -128,37 +114,20 @@ func (r *Runner) AblateGMSize() (*Table, error) {
 		Header: []string{"GM lines", "speedup", "suf-acc%", "refetch/KI"},
 	}
 	for _, lines := range []int{16, 32, 64, 128} {
-		var mu sync.Mutex
-		sp := map[string]float64{}
-		var accSum, refetchSum float64
-		err := r.forEachTrace(func(name string) error {
-			base, err := r.result(name, baseNonSecure())
-			if err != nil {
-				return err
-			}
-			v := timelySecureSUF("berti")
-			cfg := v.config(r.opts)
-			cfg.GM.Lines = lines
-			tr, err := workload.Get(name, workload.Params{Instrs: r.opts.Instrs + r.opts.Warmup, Seed: r.opts.Seed})
-			if err != nil {
-				return err
-			}
-			res, err := sim.Run(cfg, trace.NewSource(tr))
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			sp[name] = res.Speedup(base)
-			accSum += res.SUFAccuracy() * 100
-			refetchSum += perKI(res.Core.CommitGMMisses, res.Instructions)
-			mu.Unlock()
-			return nil
-		})
+		v := timelySecureSUF("berti").with(fmt.Sprintf("gm%d", lines), func(c *sim.Config) { c.GM.Lines = lines })
+		sp, err := r.speedups(v)
 		if err != nil {
 			return nil, err
 		}
-		n := float64(len(r.opts.Traces))
-		t.AddRow(fmt.Sprint(lines), f3(geomean(sp)), f1(accSum/n), f1(refetchSum/n))
+		acc, err := r.metric(v, func(res *sim.Result) float64 { return res.SUFAccuracy() * 100 })
+		if err != nil {
+			return nil, err
+		}
+		refetch, err := r.metric(v, kilo(func(res *sim.Result) uint64 { return res.Core.CommitGMMisses }))
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(fmt.Sprint(lines), f3(geomean(sp)), f1(acc), f1(refetch))
 	}
 	t.Notes = append(t.Notes, "the paper fixes the GM at 32 lines (2 KB); the sweep shows the refetch-vs-capacity tradeoff")
 	return t, nil
@@ -172,36 +141,14 @@ func (r *Runner) AblateTLB() (*Table, error) {
 		Header: []string{"translation", "no-pref secure", "TSB+SUF"},
 	}
 	for _, disable := range []bool{false, true} {
-		label := "dTLB+STLB+walk"
+		label, suffix := "dTLB+STLB+walk", "tlb"
 		if disable {
-			label = "disabled (free translation)"
+			label, suffix = "disabled (free translation)", "notlb"
 		}
+		edit := func(c *sim.Config) { c.DisableTLB = disable }
 		row := []string{label}
 		for _, v := range []cfgVariant{baseSecure(), timelySecureSUF("berti")} {
-			var mu sync.Mutex
-			sp := map[string]float64{}
-			err := r.forEachTrace(func(name string) error {
-				baseCfg := baseNonSecure().config(r.opts)
-				baseCfg.DisableTLB = disable
-				cfg := v.config(r.opts)
-				cfg.DisableTLB = disable
-				tr, err := workload.Get(name, workload.Params{Instrs: r.opts.Instrs + r.opts.Warmup, Seed: r.opts.Seed})
-				if err != nil {
-					return err
-				}
-				base, err := sim.Run(baseCfg, trace.NewSource(tr))
-				if err != nil {
-					return err
-				}
-				res, err := sim.Run(cfg, trace.NewSource(tr))
-				if err != nil {
-					return err
-				}
-				mu.Lock()
-				sp[name] = res.Speedup(base)
-				mu.Unlock()
-				return nil
-			})
+			sp, err := r.speedupsOver(baseNonSecure().with(suffix, edit), v.with(suffix, edit))
 			if err != nil {
 				return nil, err
 			}
@@ -222,53 +169,32 @@ func (r *Runner) SUFTraffic() (*Table, error) {
 		Title:  "Traffic removed by SUF (on-commit Berti, per kilo-instruction)",
 		Header: []string{"metric", "without SUF", "with SUF", "reduction %"},
 	}
-	type agg struct{ commit, prop, l1, l2, llc float64 }
-	collect := func(v cfgVariant) (agg, error) {
-		var mu sync.Mutex
-		var a agg
-		err := r.forEachTrace(func(name string) error {
-			res, err := r.result(name, v)
-			if err != nil {
-				return err
-			}
-			ins := res.Instructions
-			mu.Lock()
-			a.commit += perKI(res.L1D.Accesses[mem.KindCommitWrite]+res.L1D.Accesses[mem.KindRefetch], ins)
-			a.prop += perKI(res.L1D.PropagationsOut+res.L2.PropagationsOut, ins)
-			a.l1 += perKI(res.L1D.TotalAccesses(), ins)
-			a.l2 += perKI(res.L2.TotalAccesses(), ins)
-			a.llc += perKI(res.LLC.TotalAccesses(), ins)
-			mu.Unlock()
-			return nil
-		})
-		n := float64(len(r.opts.Traces))
-		a.commit /= n
-		a.prop /= n
-		a.l1 /= n
-		a.l2 /= n
-		a.llc /= n
-		return a, err
-	}
-	without, err := collect(onCommitSecure("berti"))
-	if err != nil {
-		return nil, err
-	}
-	with, err := collect(onCommitSecureSUF("berti"))
-	if err != nil {
-		return nil, err
-	}
-	row := func(name string, a, b float64) {
-		red := 0.0
-		if a > 0 {
-			red = (1 - b/a) * 100
+	for _, row := range []struct {
+		name  string
+		count func(*sim.Result) uint64
+	}{
+		{"L1D commit requests /KI", func(res *sim.Result) uint64 {
+			return res.L1D.Accesses[mem.KindCommitWrite] + res.L1D.Accesses[mem.KindRefetch]
+		}},
+		{"clean propagations /KI", func(res *sim.Result) uint64 { return res.L1D.PropagationsOut + res.L2.PropagationsOut }},
+		{"L1D accesses /KI", func(res *sim.Result) uint64 { return res.L1D.TotalAccesses() }},
+		{"L2 accesses /KI", func(res *sim.Result) uint64 { return res.L2.TotalAccesses() }},
+		{"LLC accesses /KI", func(res *sim.Result) uint64 { return res.LLC.TotalAccesses() }},
+	} {
+		without, err := r.metric(onCommitSecure("berti"), kilo(row.count))
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(name, f1(a), f1(b), f1(red))
+		with, err := r.metric(onCommitSecureSUF("berti"), kilo(row.count))
+		if err != nil {
+			return nil, err
+		}
+		red := 0.0
+		if without > 0 {
+			red = (1 - with/without) * 100
+		}
+		t.AddRow(row.name, f1(without), f1(with), f1(red))
 	}
-	row("L1D commit requests /KI", without.commit, with.commit)
-	row("clean propagations /KI", without.prop, with.prop)
-	row("L1D accesses /KI", without.l1, with.l1)
-	row("L2 accesses /KI", without.l2, with.l2)
-	row("LLC accesses /KI", without.llc, with.llc)
 	t.Notes = append(t.Notes,
 		"paper: GhostMinion adds 54.7%/46.6%/40.4% traffic at L1D/L2/LLC; SUF mitigates the increase at every level")
 	return t, nil
@@ -285,37 +211,21 @@ func (r *Runner) AblatePolicy() (*Table, error) {
 		Header: []string{"policy", "speedup", "pref accuracy %"},
 	}
 	for _, pol := range []cache.Policy{cache.PolicyLRU, cache.PolicySRRIP} {
-		var mu sync.Mutex
-		sp := map[string]float64{}
-		var accSum float64
-		err := r.forEachTrace(func(name string) error {
-			baseCfg := baseNonSecure().config(r.opts)
-			cfg := timelySecureSUF("berti").config(r.opts)
-			for _, c := range []*cache.Config{&baseCfg.L1D, &baseCfg.L2, &baseCfg.LLC, &cfg.L1D, &cfg.L2, &cfg.LLC} {
-				c.Policy = pol
+		edit := func(c *sim.Config) {
+			for _, cc := range []*cache.Config{&c.L1D, &c.L2, &c.LLC} {
+				cc.Policy = pol
 			}
-			tr, err := workload.Get(name, workload.Params{Instrs: r.opts.Instrs + r.opts.Warmup, Seed: r.opts.Seed})
-			if err != nil {
-				return err
-			}
-			base, err := sim.Run(baseCfg, trace.NewSource(tr))
-			if err != nil {
-				return err
-			}
-			res, err := sim.Run(cfg, trace.NewSource(tr))
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			sp[name] = res.Speedup(base)
-			accSum += res.PrefAccuracy(mem.LvlL1D) * 100
-			mu.Unlock()
-			return nil
-		})
+		}
+		v := timelySecureSUF("berti").with(pol.String(), edit)
+		sp, err := r.speedupsOver(baseNonSecure().with(pol.String(), edit), v)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(pol.String(), f3(geomean(sp)), f1(accSum/float64(len(r.opts.Traces))))
+		acc, err := r.metric(v, func(res *sim.Result) float64 { return res.PrefAccuracy(mem.LvlL1D) * 100 })
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(pol.String(), f3(geomean(sp)), f1(acc))
 	}
 	return t, nil
 }
@@ -334,34 +244,16 @@ func (r *Runner) AblateLateness() (*Table, error) {
 	}
 	t.AddRow("no adaptation (on-commit)", f3(geomean(base)), "0.0")
 	for _, thr := range []float64{0.05, 0.14, 0.30} {
-		var mu sync.Mutex
-		sp := map[string]float64{}
-		var adapt float64
-		err := r.forEachTrace(func(name string) error {
-			b, err := r.result(name, baseNonSecure())
-			if err != nil {
-				return err
-			}
-			cfg := timelySecure("ip-stride").config(r.opts)
-			cfg.LatenessThreshold = thr
-			tr, err := workload.Get(name, workload.Params{Instrs: r.opts.Instrs + r.opts.Warmup, Seed: r.opts.Seed})
-			if err != nil {
-				return err
-			}
-			res, err := sim.Run(cfg, trace.NewSource(tr))
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			sp[name] = res.Speedup(b)
-			adapt += float64(res.DistanceAdaptations)
-			mu.Unlock()
-			return nil
-		})
+		v := timelySecure("ip-stride").with(fmt.Sprintf("thr%.2f", thr), func(c *sim.Config) { c.LatenessThreshold = thr })
+		sp, err := r.speedups(v)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%.2f", thr), f3(geomean(sp)), f1(adapt/float64(len(r.opts.Traces))))
+		adapt, err := r.metric(v, func(res *sim.Result) float64 { return float64(res.DistanceAdaptations) })
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(fmt.Sprintf("%.2f", thr), f3(geomean(sp)), f1(adapt))
 	}
 	t.Notes = append(t.Notes, "the paper uses 0.14 (0.05 for Bingo), just under the average on-commit lateness")
 	return t, nil

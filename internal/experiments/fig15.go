@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
+	"strings"
 
+	"secpref/internal/export"
 	"secpref/internal/multicore"
 	"secpref/internal/observatory"
 )
@@ -41,34 +42,24 @@ func (r *Runner) Fig15() (*Table, error) {
 		vals []float64
 	}
 	rows := make([]row, len(mixes))
-	var wg sync.WaitGroup
-	errs := make([]error, len(mixes))
-	for i, mix := range mixes {
-		wg.Add(1)
-		go func(i int, mix []string) {
-			defer wg.Done()
-			base, err := r.runMix(baseNonSecure(), mix)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			vals := make([]float64, len(variants))
-			for j, v := range variants {
-				res, err := r.runMix(v, mix)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				vals[j] = sumIPCRatio(res, base)
-			}
-			rows[i] = row{name: fmt.Sprintf("mix%02d", i), vals: vals}
-		}(i, mix)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := parallel(len(mixes), func(i int) error {
+		base, err := r.mix(mixes[i], baseNonSecure(), false)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		vals := make([]float64, len(variants))
+		for j, v := range variants {
+			res, err := r.mix(mixes[i], v, false)
+			if err != nil {
+				return err
+			}
+			vals[j] = sumIPCRatio(res, base)
+		}
+		rows[i] = row{name: fmt.Sprintf("mix%02d", i), vals: vals}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Sort by the last (TSB+SUF) column, as the paper sorts mixes by
 	// increasing speedup.
@@ -94,31 +85,38 @@ func (r *Runner) Fig15() (*Table, error) {
 	return t, nil
 }
 
-// runMix simulates one 4-core mix under variant v.
-func (r *Runner) runMix(v cfgVariant, names []string) (*multicore.Result, error) {
-	cfg := multicore.Config{Single: v.config(r.opts), Cores: len(names)}
-	// Multi-core runs use a reduced per-core budget so a campaign of
-	// many mixes stays tractable.
-	cfg.Single.MaxInstrs = r.opts.Instrs / 2
-	cfg.Single.WarmupInstrs = r.opts.Warmup / 2
-	mix, err := r.mixSources(names)
-	if err != nil {
-		return nil, err
+// mix runs (or returns the memoized) multicore simulation of variant
+// v on the named traces, one per core, at the shared-machine budget.
+// Consolidation runs (interfere) attach the interference observatory,
+// export its snapshot into Options.TimeseriesDir when set, and shrink
+// the shared LLC to a 32 KiB bank per core: campaign budgets are ~1000x
+// smaller than the paper's, and a full-size 2 MB bank would never
+// evict within them, leaving the attribution matrix vacuously empty.
+func (r *Runner) mix(names []string, v cfgVariant, interfere bool) (*multicore.Result, error) {
+	cfg := multicore.Config{Single: r.sharedConfig(v), Cores: len(names)}
+	kind := "mix"
+	if interfere {
+		kind = "consolidation"
+		cfg.Single.LLC.SizeKiB = 32
 	}
-	var probes multicore.Probes
-	var prof *observatory.Profile
-	if r.opts.Profile != nil {
-		prof = observatory.NewProfile()
-		probes.Profile = prof
-	}
-	res, err := multicore.RunProbed(cfg, mix, probes)
-	if err != nil {
-		return nil, err
-	}
-	if prof != nil {
-		r.opts.Profile.Add(prof)
-	}
-	return res, nil
+	return memo(r, runKey{kind, strings.Join(names, "+"), cfg.Single}, func(prof *observatory.Profile) (*multicore.Result, uint64, uint64, error) {
+		srcs, err := r.sources(names...)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		res, err := multicore.RunProbed(cfg, srcs, multicore.Probes{Profile: prof, Interference: interfere})
+		if err == nil && interfere && r.opts.TimeseriesDir != "" {
+			err = export.WriteFiles(r.opts.TimeseriesDir, res.Interference.Files(fmt.Sprintf("mc%02d__%s", len(names), export.FileName(v.label)))...)
+		}
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		var instrs uint64
+		for _, c := range res.PerCore {
+			instrs += c.Instructions
+		}
+		return res, instrs, res.Cycles, nil
+	})
 }
 
 // sumIPCRatio computes Σ_i IPC_i(cfg)/IPC_i(base) — with identical

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"secpref/internal/mem"
 	"secpref/internal/sim"
@@ -49,26 +48,19 @@ func (r *Runner) Fig3() (*Table, error) {
 		Header: []string{"prefetcher", "system", "load", "prefetch", "commit", "total"},
 	}
 	add := func(name string, v cfgVariant, system string) error {
-		var mu sync.Mutex
-		var load, pref, commit float64
-		err := r.forEachTrace(func(tr string) error {
-			res, err := r.result(tr, v)
+		var apki [3]float64
+		for i, part := range []func(*sim.Result) float64{
+			func(res *sim.Result) float64 { return res.L1DAPKI().Load },
+			func(res *sim.Result) float64 { return res.L1DAPKI().Prefetch },
+			func(res *sim.Result) float64 { return res.L1DAPKI().Commit },
+		} {
+			m, err := r.metric(v, part)
 			if err != nil {
 				return err
 			}
-			ap := res.L1DAPKI()
-			mu.Lock()
-			load += ap.Load
-			pref += ap.Prefetch
-			commit += ap.Commit
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			return err
+			apki[i] = m
 		}
-		n := float64(len(r.opts.Traces))
-		t.AddRow(name, system, f1(load/n), f1(pref/n), f1(commit/n), f1((load+pref+commit)/n))
+		t.AddRow(name, system, f1(apki[0]), f1(apki[1]), f1(apki[2]), f1(apki[0]+apki[1]+apki[2]))
 		return nil
 	}
 	if err := add("no-pref", baseNonSecure(), "non-secure"); err != nil {
@@ -97,20 +89,20 @@ func (r *Runner) Fig4() (*Table, error) {
 		Title:  "Average L1D load miss latency (cycles), on-access prefetching",
 		Header: []string{"prefetcher", "on-access/non-secure", "on-access/secure", "no-pref/non-secure", "no-pref/secure"},
 	}
-	baseNS, err := r.collect(baseNonSecure(), func(res *sim.Result) float64 { return res.LoadMissLatency() })
+	baseNS, err := r.metric(baseNonSecure(), (*sim.Result).LoadMissLatency)
 	if err != nil {
 		return nil, err
 	}
-	baseS, err := r.collect(baseSecure(), func(res *sim.Result) float64 { return res.LoadMissLatency() })
+	baseS, err := r.metric(baseSecure(), (*sim.Result).LoadMissLatency)
 	if err != nil {
 		return nil, err
 	}
 	for _, pf := range Prefetchers {
-		ns, err := r.collect(onAccessNonSecure(pf), func(res *sim.Result) float64 { return res.LoadMissLatency() })
+		ns, err := r.metric(onAccessNonSecure(pf), (*sim.Result).LoadMissLatency)
 		if err != nil {
 			return nil, err
 		}
-		s, err := r.collect(onAccessSecure(pf), func(res *sim.Result) float64 { return res.LoadMissLatency() })
+		s, err := r.metric(onAccessSecure(pf), (*sim.Result).LoadMissLatency)
 		if err != nil {
 			return nil, err
 		}
@@ -166,28 +158,21 @@ func (r *Runner) Fig6() (*Table, error) {
 		Header: []string{"prefetcher", "mode", "uncovered", "missed-opp", "late", "commit-late", "total"},
 	}
 	add := func(pf string, v cfgVariant, mode string) error {
-		var mu sync.Mutex
-		var unc, mo, late, cl, tot float64
-		err := r.forEachTrace(func(tr string) error {
-			res, err := r.result(tr, v)
+		row := []string{pf, mode}
+		for _, class := range []func(*sim.Result) uint64{
+			func(res *sim.Result) uint64 { return res.Class.Uncovered },
+			func(res *sim.Result) uint64 { return res.Class.MissedOpp },
+			func(res *sim.Result) uint64 { return res.Class.Late },
+			func(res *sim.Result) uint64 { return res.Class.CommitLate },
+			func(res *sim.Result) uint64 { return res.Class.TotalMisses },
+		} {
+			m, err := r.metric(v, kilo(class))
 			if err != nil {
 				return err
 			}
-			ins := res.Instructions
-			mu.Lock()
-			unc += perKI(res.Class.Uncovered, ins)
-			mo += perKI(res.Class.MissedOpp, ins)
-			late += perKI(res.Class.Late, ins)
-			cl += perKI(res.Class.CommitLate, ins)
-			tot += perKI(res.Class.TotalMisses, ins)
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			return err
+			row = append(row, f2(m))
 		}
-		n := float64(len(r.opts.Traces))
-		t.AddRow(pf, mode, f2(unc/n), f2(mo/n), f2(late/n), f2(cl/n), f2(tot/n))
+		t.AddRow(row...)
 		return nil
 	}
 	for _, pf := range Prefetchers {
@@ -207,6 +192,11 @@ func perKI(count, instr uint64) float64 {
 		return 0
 	}
 	return float64(count) * 1000 / float64(instr)
+}
+
+// kilo turns a run's event count into its per-kilo-instruction rate.
+func kilo(count func(*sim.Result) uint64) func(*sim.Result) float64 {
+	return func(res *sim.Result) float64 { return perKI(count(res), res.Instructions) }
 }
 
 // Fig10 reproduces Figure 10: speedup of the timely-secure (TS)
@@ -294,24 +284,20 @@ func (r *Runner) Fig12(suite string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var gc, gt, gs []float64
-	for _, name := range r.sortedTraces(suite) {
-		t.AddRow(name, f3(com[name]), f3(tsb[name]), f3(tsbSUF[name]))
-		gc = append(gc, com[name])
-		gt = append(gt, tsb[name])
-		gs = append(gs, tsbSUF[name])
+	names := r.sortedTraces(suite)
+	suiteGeomean := func(sp map[string]float64) string {
+		in := make(map[string]float64, len(names))
+		for _, name := range names {
+			in[name] = sp[name]
+		}
+		return f3(geomean(in))
 	}
-	t.AddRow("geomean", f3(geomeanSlice(gc)), f3(geomeanSlice(gt)), f3(geomeanSlice(gs)))
+	for _, name := range names {
+		t.AddRow(name, f3(com[name]), f3(tsb[name]), f3(tsbSUF[name]))
+	}
+	t.AddRow("geomean", suiteGeomean(com), suiteGeomean(tsb), suiteGeomean(tsbSUF))
 	t.Notes = append(t.Notes, "paper: TSB+SUF never degrades a trace; biggest wins on large-fetch-latency traces (bwaves, bfs)")
 	return t, nil
-}
-
-func geomeanSlice(vals []float64) float64 {
-	m := make(map[string]float64, len(vals))
-	for i, v := range vals {
-		m[fmt.Sprint(i)] = v
-	}
-	return geomean(m)
 }
 
 // Fig13 reproduces Figure 13: average prefetch accuracy per prefetcher
@@ -329,19 +315,19 @@ func (r *Runner) Fig13() (*Table, error) {
 			home = mem.LvlL2
 		}
 		metric := func(res *sim.Result) float64 { return res.PrefAccuracy(home) * 100 }
-		acc, err := r.collect(onAccessNonSecure(pf), metric)
+		acc, err := r.metric(onAccessNonSecure(pf), metric)
 		if err != nil {
 			return nil, err
 		}
-		com, err := r.collect(onCommitSecure(pf), metric)
+		com, err := r.metric(onCommitSecure(pf), metric)
 		if err != nil {
 			return nil, err
 		}
-		suf, err := r.collect(onCommitSecureSUF(pf), metric)
+		suf, err := r.metric(onCommitSecureSUF(pf), metric)
 		if err != nil {
 			return nil, err
 		}
-		ts, err := r.collect(timelySecure(pf), metric)
+		ts, err := r.metric(timelySecure(pf), metric)
 		if err != nil {
 			return nil, err
 		}
@@ -359,35 +345,19 @@ func (r *Runner) Fig14() (*Table, error) {
 		Title:  "Normalized dynamic energy (lower is better)",
 		Header: []string{"prefetcher", "on-access/non-secure", "on-commit/secure", "on-commit/secure+SUF"},
 	}
-	baseEnergy := map[string]float64{}
-	var mu sync.Mutex
-	err := r.forEachTrace(func(tr string) error {
-		res, err := r.result(tr, baseNonSecure())
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		baseEnergy[tr] = res.Energy.Total()
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	// norm is the geomean of v's energy over the baseline's; a trace
+	// whose baseline spends none is left out (geomean skips zeros).
 	norm := func(v cfgVariant) (float64, error) {
-		m := map[string]float64{}
-		var lk sync.Mutex
-		err := r.forEachTrace(func(tr string) error {
-			res, err := r.result(tr, v)
+		m, err := perTrace(r, func(tr string) (float64, error) {
+			base, err := r.result(tr, baseNonSecure())
 			if err != nil {
-				return err
+				return 0, err
 			}
-			lk.Lock()
-			if b := baseEnergy[tr]; b > 0 {
-				m[tr] = res.Energy.Total() / b
+			res, err := r.result(tr, v)
+			if err != nil || base.Energy.Total() <= 0 {
+				return 0, err
 			}
-			lk.Unlock()
-			return nil
+			return res.Energy.Total() / base.Energy.Total(), nil
 		})
 		return geomean(m), err
 	}
@@ -423,34 +393,20 @@ func (r *Runner) SUFAccuracy() (*Table, error) {
 		Title:  "SUF filter accuracy (TSB+SUF configuration)",
 		Header: []string{"trace", "accuracy %", "drops/KI"},
 	}
-	v := timelySecureSUF("berti")
-	var mu sync.Mutex
-	acc := map[string]float64{}
-	drops := map[string]float64{}
-	err := r.forEachTrace(func(tr string) error {
-		res, err := r.result(tr, v)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		acc[tr] = res.SUFAccuracy() * 100
-		drops[tr] = perKI(res.Core.SUFDrops, res.Instructions)
-		mu.Unlock()
-		return nil
-	})
+	runs, err := perTrace(r, func(tr string) (*sim.Result, error) { return r.result(tr, timelySecureSUF("berti")) })
 	if err != nil {
 		return nil, err
 	}
 	minName, minV := "", 101.0
 	sum := 0.0
 	for _, name := range r.opts.Traces {
-		if acc[name] < minV {
-			minName, minV = name, acc[name]
+		res := runs[name]
+		acc := res.SUFAccuracy() * 100
+		if acc < minV {
+			minName, minV = name, acc
 		}
-		sum += acc[name]
-	}
-	for _, name := range r.opts.Traces {
-		t.AddRow(name, f1(acc[name]), f1(drops[name]))
+		sum += acc
+		t.AddRow(name, f1(acc), f1(perKI(res.Core.SUFDrops, res.Instructions)))
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("average accuracy %.1f%%, minimum %.1f%% (%s)", sum/float64(len(r.opts.Traces)), minV, minName),

@@ -5,9 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
-	"secpref/internal/export"
 	"secpref/internal/interference"
-	"secpref/internal/multicore"
 )
 
 // interferenceCoreCounts are the consolidation points of the study:
@@ -36,23 +34,6 @@ func (r *Runner) tenantMix(n int) []string {
 	return mix
 }
 
-// runConsolidation simulates one tenant mix with the interference
-// observatory attached. The shared LLC is shrunk to a 32 KiB bank per
-// core: campaign instruction budgets are ~1000x smaller than the
-// paper's, and a full-size 2 MB bank would never evict within them,
-// leaving the attribution matrix vacuously empty.
-func (r *Runner) runConsolidation(v cfgVariant, names []string) (*multicore.Result, error) {
-	cfg := multicore.Config{Single: v.config(r.opts), Cores: len(names)}
-	cfg.Single.MaxInstrs = r.opts.Instrs / 2
-	cfg.Single.WarmupInstrs = r.opts.Warmup / 2
-	cfg.Single.LLC.SizeKiB = 32
-	mix, err := r.mixSources(names)
-	if err != nil {
-		return nil, err
-	}
-	return multicore.RunProbed(cfg, mix, multicore.Probes{Interference: true})
-}
-
 // ConsolidationInterference runs the cross-core interference study:
 // who hurt whom through the shared cache, at 4/8/16-core consolidation
 // levels, secure vs non-secure. Each run contributes its top
@@ -71,13 +52,9 @@ func (r *Runner) ConsolidationInterference() (*Table, error) {
 	for _, cores := range interferenceCoreCounts {
 		names := r.tenantMix(cores)
 		for _, v := range interferenceVariants() {
-			res, err := r.runConsolidation(v, names)
+			res, err := r.mix(names, v, true)
 			if err != nil {
 				return nil, fmt.Errorf("consolidation-interference %d-core %s: %w", cores, v.label, err)
-			}
-			if r.opts.Campaign != nil {
-				r.opts.Campaign.RunStarted()
-				r.opts.Campaign.RunDone(res.PerCore[0].Instructions*uint64(cores), res.Cycles)
 			}
 			s := res.Interference
 			label := fmt.Sprintf("mc%02d/%s", cores, v.label)
@@ -118,12 +95,6 @@ func (r *Runner) ConsolidationInterference() (*Table, error) {
 				u(total.Evictions[interference.ClassDemand]), u(total.Evictions[interference.ClassPrefetch]),
 				u(total.Evictions[interference.ClassSUF]), u(total.Evictions[interference.ClassMaintenance]),
 				u(total.Inflicted), u(total.Pollution), "-")
-
-			if r.opts.TimeseriesDir != "" {
-				if err := export.WriteFiles(r.opts.TimeseriesDir, s.Files(fmt.Sprintf("mc%02d__%s", cores, export.FileName(v.label)))...); err != nil {
-					return nil, err
-				}
-			}
 		}
 	}
 	t.Notes = append(t.Notes,

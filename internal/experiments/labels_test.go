@@ -22,7 +22,7 @@ func TestVariantLabelsAreUnique(t *testing.T) {
 	seen := map[string]bool{}
 	add := func(v cfgVariant) {
 		if seen[v.label] {
-			t.Errorf("duplicate variant label %q (memoization would alias distinct configs)", v.label)
+			t.Errorf("duplicate variant label %q (labels name exported files, so two systems would share one)", v.label)
 		}
 		seen[v.label] = true
 	}

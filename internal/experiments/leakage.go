@@ -3,27 +3,24 @@ package experiments
 import (
 	"fmt"
 	"strconv"
-	"sync"
 
 	"secpref/internal/attack"
 	"secpref/internal/export"
 	"secpref/internal/leakage"
+	"secpref/internal/observatory"
 	"secpref/internal/sim"
-	"secpref/internal/trace"
-	"secpref/internal/workload"
 )
 
 // leakageVariants are the attack-harness systems the security
 // scoreboard compares: the undefended baseline, GhostMinion with the
 // insecure training discipline, and the paper's full defense.
 var leakageVariants = []struct {
-	name     string
-	secure   bool
-	onCommit bool
+	name string
+	cfg  attack.Config
 }{
-	{"non-secure/on-access", false, false},
-	{"secure/on-access", true, false},
-	{"secure/on-commit", true, true},
+	{"non-secure/on-access", attack.Config{}},
+	{"secure/on-access", attack.Config{Secure: true}},
+	{"secure/on-commit", attack.Config{Secure: true, OnCommitPrefetch: true}},
 }
 
 // LeakageAudit produces the per-(variant, prefetcher) security
@@ -49,62 +46,16 @@ func (r *Runner) LeakageAudit() (*Table, error) {
 	}
 
 	prefetchers := append([]string{"none"}, Prefetchers...)
-	type rowResult struct {
-		cells []string
-		err   error
+	rows := make([][]string, len(leakageVariants)*len(prefetchers))
+	err := parallel(len(rows), func(i int) (err error) {
+		v, pf := leakageVariants[i/len(prefetchers)], prefetchers[i%len(prefetchers)]
+		r.bounded(func() { rows[i], err = attackRow(v.name, v.cfg, pf) })
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	rows := make([]rowResult, len(leakageVariants)*len(prefetchers))
-	var wg sync.WaitGroup
-	for vi, v := range leakageVariants {
-		for pi, pf := range prefetchers {
-			wg.Add(1)
-			go func(idx int, v struct {
-				name     string
-				secure   bool
-				onCommit bool
-			}, pf string) {
-				defer wg.Done()
-				r.sem <- struct{}{}
-				defer func() { <-r.sem }()
-				cfg := attack.Config{Secure: v.secure, OnCommitPrefetch: v.onCommit}
-				if pf != "none" {
-					cfg.Prefetcher = pf
-				}
-				direct, err := attack.MeasureChannel(cfg, attack.ChannelCache, 0)
-				if err != nil {
-					rows[idx] = rowResult{err: err}
-					return
-				}
-				tainted := direct.Audit.TaintedSurvivors
-				trains := direct.Audit.SpecTrains
-				pfBits, pfSep := "-", "-"
-				if pf != "none" {
-					pc, err := attack.MeasureChannel(cfg, attack.ChannelPrefetch, 0)
-					if err != nil {
-						rows[idx] = rowResult{err: err}
-						return
-					}
-					tainted += pc.Audit.TaintedSurvivors
-					trains += pc.Audit.SpecTrains
-					pfBits = f2(pc.BitsPerTrial)
-					pfSep = f1(pc.Separation)
-				}
-				rows[idx] = rowResult{cells: []string{
-					v.name, pf,
-					strconv.FormatUint(tainted, 10), strconv.FormatUint(trains, 10),
-					f2(direct.BitsPerTrial), f3(direct.LatencyMI), f1(direct.Separation),
-					pfBits, pfSep,
-				}}
-			}(vi*len(prefetchers)+pi, v, pf)
-		}
-	}
-	wg.Wait()
-	for _, row := range rows {
-		if row.err != nil {
-			return nil, row.err
-		}
-		t.AddRow(row.cells...)
-	}
+	t.Rows = rows
 
 	// Full-campaign audit: the same scoreboard over real sim runs for
 	// the secure discipline (must be zero) and the insecure one.
@@ -126,32 +77,64 @@ func (r *Runner) LeakageAudit() (*Table, error) {
 	return t, nil
 }
 
-// auditCampaign runs variant v over every trace with a leakage auditor
-// attached and returns the merged scoreboard. Audited runs are not
-// memoized: they exist for their observer side channel, and the
-// equivalence guarantee keeps them bit-identical to the plain runs.
-func (r *Runner) auditCampaign(v cfgVariant) (leakage.Scoreboard, error) {
-	var (
-		mu    sync.Mutex
-		total leakage.Scoreboard
-	)
-	err := r.forEachTrace(func(name string) error {
-		r.sem <- struct{}{}
-		defer func() { <-r.sem }()
-		tr, err := workload.Get(name, workload.Params{Instrs: r.opts.Instrs + r.opts.Warmup, Seed: r.opts.Seed})
+// attackRow measures one scoreboard row on the prime+probe harness:
+// the direct cache channel and, when pf names a prefetcher, the
+// prefetcher-training channel.
+func attackRow(variant string, cfg attack.Config, pf string) ([]string, error) {
+	if pf != "none" {
+		cfg.Prefetcher = pf
+	}
+	direct, err := attack.MeasureChannel(cfg, attack.ChannelCache, 0)
+	if err != nil {
+		return nil, err
+	}
+	tainted := direct.Audit.TaintedSurvivors
+	trains := direct.Audit.SpecTrains
+	pfBits, pfSep := "-", "-"
+	if pf != "none" {
+		pc, err := attack.MeasureChannel(cfg, attack.ChannelPrefetch, 0)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		aud := leakage.NewAuditor()
-		if _, err := sim.RunProbed(v.config(r.opts), trace.NewSource(tr), sim.Probes{Observer: aud}); err != nil {
-			return fmt.Errorf("%s (%s): %w", name, v.label, err)
-		}
-		sb := aud.Scoreboard()
-		mu.Lock()
-		total.Merge(&sb)
-		mu.Unlock()
-		return nil
+		tainted += pc.Audit.TaintedSurvivors
+		trains += pc.Audit.SpecTrains
+		pfBits = f2(pc.BitsPerTrial)
+		pfSep = f1(pc.Separation)
+	}
+	return []string{
+		variant, pf,
+		strconv.FormatUint(tainted, 10), strconv.FormatUint(trains, 10),
+		f2(direct.BitsPerTrial), f3(direct.LatencyMI), f1(direct.Separation),
+		pfBits, pfSep,
+	}, nil
+}
+
+// auditCampaign runs variant v over every trace with a leakage auditor
+// attached and returns the scoreboards merged in trace order. Audited
+// runs are memoized apart from the plain runs: they exist for their
+// observer side channel, and the equivalence guarantee keeps them
+// bit-identical to the plain runs.
+func (r *Runner) auditCampaign(v cfgVariant) (leakage.Scoreboard, error) {
+	cfg := v.config(r.opts)
+	sbs, err := perTrace(r, func(name string) (leakage.Scoreboard, error) {
+		return memo(r, runKey{"audit", name, cfg}, func(prof *observatory.Profile) (leakage.Scoreboard, uint64, uint64, error) {
+			srcs, err := r.sources(name)
+			if err != nil {
+				return leakage.Scoreboard{}, 0, 0, err
+			}
+			aud := leakage.NewAuditor()
+			res, err := sim.RunProbed(cfg, srcs[0], sim.Probes{Observer: aud, Profile: prof})
+			if err != nil {
+				return leakage.Scoreboard{}, 0, 0, fmt.Errorf("%s (%s): %w", name, v.label, err)
+			}
+			return aud.Scoreboard(), res.Instructions, res.Cycles, nil
+		})
 	})
+	var total leakage.Scoreboard
+	for _, name := range r.opts.Traces {
+		sb := sbs[name]
+		total.Merge(&sb)
+	}
 	return total, err
 }
 

@@ -3,11 +3,12 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"secpref/internal/multicore"
+	"secpref/internal/observatory"
 	"secpref/internal/sim"
 	"secpref/internal/trace"
-	"secpref/internal/workload"
 )
 
 // engineGateVariants are the configurations both engine gates exercise:
@@ -16,18 +17,15 @@ import (
 // training/fill wiring).
 var engineGateVariants = []cfgVariant{timelySecureSUF("berti"), onAccessNonSecure("berti")}
 
-// mixSources builds the trace sources for one named mix with the
-// runner's budgets (the runMix convention).
-func (r *Runner) mixSources(names []string) ([]trace.Source, error) {
-	mix := make([]trace.Source, len(names))
-	for i, name := range names {
-		tr, err := workload.Get(name, workload.Params{Instrs: r.opts.Instrs + r.opts.Warmup, Seed: r.opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		mix[i] = trace.NewSource(tr)
-	}
-	return mix, nil
+// compare runs (or returns the memoized) engine comparison cmp of one
+// gate on the named traces, handing it a function that returns fresh
+// sources of them on every call. A comparison returns no result, so
+// the campaign counts it with no instructions or cycles.
+func (r *Runner) compare(kind string, names []string, cfg sim.Config, cmp func(sources func() ([]trace.Source, error)) error) error {
+	_, err := memo(r, runKey{kind, strings.Join(names, "+"), cfg}, func(*observatory.Profile) (struct{}, uint64, uint64, error) {
+		return struct{}{}, 0, 0, cmp(func() ([]trace.Source, error) { return r.sources(names...) })
+	})
+	return err
 }
 
 // DigestEquivalenceGate runs every (variant, trace) pair of the
@@ -40,8 +38,11 @@ func (r *Runner) DigestEquivalenceGate() error {
 	var errs []error
 	for _, v := range engineGateVariants {
 		cfg := v.config(r.opts)
-		errs = append(errs, r.forEachTrace(func(name string) error {
-			err := sim.CompareEngines(cfg, func() ([]trace.Source, error) { return r.mixSources([]string{name}) }, 0)
+		errs = append(errs, parallel(len(r.opts.Traces), func(i int) error {
+			name := r.opts.Traces[i]
+			err := r.compare("digest-gate", []string{name}, cfg, func(sources func() ([]trace.Source, error)) error {
+				return sim.CompareEngines(cfg, sources, 0)
+			})
 			if err != nil {
 				return fmt.Errorf("digest gate %s/%s: %w", v.label, name, err)
 			}
@@ -66,13 +67,13 @@ func (r *Runner) MulticoreEquivalenceGate() error {
 	var errs []error
 	for _, v := range engineGateVariants {
 		for mi, names := range mixes {
-			cfg := multicore.Config{Single: v.config(r.opts), Cores: len(names)}
-			// Same reduced per-core budget as the campaign's runMix, so
-			// the gate certifies exactly what Fig15 computes.
-			cfg.Single.MaxInstrs = r.opts.Instrs / 2
-			cfg.Single.WarmupInstrs = r.opts.Warmup / 2
-			mix := func() ([]trace.Source, error) { return r.mixSources(names) }
-			if err := multicore.CompareEngines(cfg, mix, 1024, multicore.Probes{}, multicore.Probes{Interval: 1}); err != nil {
+			// Same shared-machine budget as Fig15's runs, so the gate
+			// certifies exactly what Fig15 computes.
+			cfg := multicore.Config{Single: r.sharedConfig(v), Cores: len(names)}
+			err := r.compare("multicore-gate", names, cfg.Single, func(mix func() ([]trace.Source, error)) error {
+				return multicore.CompareEngines(cfg, mix, 1024, multicore.Probes{}, multicore.Probes{Interval: 1})
+			})
+			if err != nil {
 				errs = append(errs, fmt.Errorf("multicore gate %s/mix%02d: %w", v.label, mi, err))
 			}
 		}

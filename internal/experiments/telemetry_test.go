@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"secpref/internal/export"
 	"secpref/internal/probe"
@@ -110,5 +111,76 @@ func TestTimeseriesOutputInvariant(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(string(rawCSV)), "\n")
 	if len(lines) < 4 || !strings.HasPrefix(lines[0], "cycle,instructions,ipc,") {
 		t.Errorf("csv export off (%d lines, header %q)", len(lines), lines[0])
+	}
+}
+
+// TestCampaignCountsEveryRun runs every experiment with a campaign
+// attached and one -p slot. Each experiment's counted runs must equal
+// the distinct runs it started through the memo, every one must finish,
+// and a poller must never see two runs in flight. The poller reads the
+// started count before the finished counts, so a poll can only
+// under-count the runs in flight: a missed poll may hide a violation,
+// but no schedule can fail the test spuriously.
+func TestCampaignCountsEveryRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	opts := QuickOptions()
+	opts.Instrs = 6000
+	opts.Warmup = 1000
+	opts.Mixes = 2
+	opts.Traces = []string{"605.mcf-1554B", "641.leela-1083B"}
+	opts.Parallelism = 1
+	c := probe.NewCampaign(len(IDs) + len(ExtensionIDs))
+	opts.Campaign = c
+	r := NewRunner(opts)
+	memoized := func() uint64 {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return uint64(len(r.runs))
+	}
+
+	stop := make(chan struct{})
+	most := make(chan int64)
+	go func() {
+		var seen int64
+		for {
+			started := c.Snapshot().RunsStarted
+			s := c.Snapshot()
+			seen = max(seen, int64(started)-int64(s.RunsDone)-int64(s.RunsFailed))
+			select {
+			case <-stop:
+				most <- seen
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+	}()
+
+	for _, id := range append(append([]string{}, IDs...), ExtensionIDs...) {
+		before, memoBefore := c.Snapshot(), memoized()
+		if _, err := r.Run(id); err != nil {
+			t.Errorf("%s: %v", id, err)
+			continue
+		}
+		after, started := c.Snapshot(), memoized()-memoBefore
+		counted, done := after.RunsStarted-before.RunsStarted, after.RunsDone-before.RunsDone
+		if counted != started || done != started || after.RunsFailed != 0 {
+			t.Errorf("%s: memo started %d runs; campaign counted %d started, %d done, %d failed in total", id, started, counted, done, after.RunsFailed)
+		}
+		if id == "fig15" {
+			// One run per distinct mix and system, the baseline included.
+			mixes := map[string]bool{}
+			for _, m := range r.randomMixes() {
+				mixes[strings.Join(m, "+")] = true
+			}
+			if want := uint64(len(mixes) * (len(fig15Variants()) + 1)); counted != want {
+				t.Errorf("fig15 counted %d runs, want %d", counted, want)
+			}
+		}
+	}
+	close(stop)
+	if n := <-most; n > 1 {
+		t.Errorf("saw %d runs in flight with Parallelism 1", n)
 	}
 }
