@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -111,9 +112,7 @@ func main() {
 		ids = experiments.ExtensionIDs
 	case *figID != "":
 		id := *figID
-		if !strings.HasPrefix(id, "fig") && !strings.HasPrefix(id, "suf") &&
-			!strings.HasPrefix(id, "smt") && !strings.HasPrefix(id, "ablate") && !strings.HasPrefix(id, "tsb") &&
-			!strings.HasPrefix(id, "leakage") && !strings.HasPrefix(id, "consolidation") {
+		if !slices.Contains(experiments.IDs, id) && !slices.Contains(experiments.ExtensionIDs, id) {
 			id = "fig" + id
 		}
 		ids = []string{id}

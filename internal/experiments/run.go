@@ -2,74 +2,65 @@ package experiments
 
 import "fmt"
 
-// IDs lists every reproducible experiment in paper order.
-var IDs = []string{
-	"table1", "table2", "table3",
-	"fig1", "fig3", "fig4", "fig5", "fig6",
-	"fig10", "fig11", "fig12a", "fig12b", "fig13", "fig14", "fig15",
-	"suf-accuracy", "suf-traffic",
+// experiment is one reproducible table: its id, whether it goes beyond
+// the paper, and how a runner builds it.
+type experiment struct {
+	id        string
+	extension bool
+	build     func(*Runner) (*Table, error)
 }
 
-// ExtensionIDs lists the beyond-the-paper experiments (SMT, TSB on
-// non-secure systems, ablations, the security scoreboard).
-var ExtensionIDs = []string{
-	"smt-suf", "tsb-nonsecure", "ablate-gm", "ablate-tlb", "ablate-lateness", "ablate-policy",
-	"leakage-audit", "consolidation-interference",
+// registry lists every experiment: the paper's in paper order, then
+// the extensions. IDs, ExtensionIDs and Run all derive from it.
+var registry = []experiment{
+	{"table1", false, func(*Runner) (*Table, error) { return Table1(), nil }},
+	{"table2", false, func(*Runner) (*Table, error) { return Table2(), nil }},
+	{"table3", false, func(*Runner) (*Table, error) { return Table3() }},
+	{"fig1", false, (*Runner).Fig1},
+	{"fig3", false, (*Runner).Fig3},
+	{"fig4", false, (*Runner).Fig4},
+	{"fig5", false, (*Runner).Fig5},
+	{"fig6", false, (*Runner).Fig6},
+	{"fig10", false, (*Runner).Fig10},
+	{"fig11", false, (*Runner).Fig11},
+	{"fig12a", false, func(r *Runner) (*Table, error) { return r.Fig12("spec") }},
+	{"fig12b", false, func(r *Runner) (*Table, error) { return r.Fig12("gap") }},
+	{"fig13", false, (*Runner).Fig13},
+	{"fig14", false, (*Runner).Fig14},
+	{"fig15", false, (*Runner).Fig15},
+	{"suf-accuracy", false, (*Runner).SUFAccuracy},
+	{"suf-traffic", false, (*Runner).SUFTraffic},
+	{"smt-suf", true, (*Runner).SMTSUF},
+	{"tsb-nonsecure", true, (*Runner).TSBNonSecure},
+	{"ablate-gm", true, (*Runner).AblateGMSize},
+	{"ablate-tlb", true, (*Runner).AblateTLB},
+	{"ablate-lateness", true, (*Runner).AblateLateness},
+	{"ablate-policy", true, (*Runner).AblatePolicy},
+	{"leakage-audit", true, (*Runner).LeakageAudit},
+	{"consolidation-interference", true, (*Runner).ConsolidationInterference},
+}
+
+// IDs lists every reproducible experiment in paper order; ExtensionIDs
+// lists the beyond-the-paper experiments (SMT, TSB on non-secure
+// systems, ablations, the security scoreboard, consolidation).
+var IDs, ExtensionIDs = registryIDs(false), registryIDs(true)
+
+func registryIDs(extension bool) []string {
+	var ids []string
+	for _, e := range registry {
+		if e.extension == extension {
+			ids = append(ids, e.id)
+		}
+	}
+	return ids
 }
 
 // Run regenerates one experiment by id.
 func (r *Runner) Run(id string) (*Table, error) {
-	switch id {
-	case "table1":
-		return Table1(), nil
-	case "table2":
-		return Table2(), nil
-	case "table3":
-		return Table3()
-	case "fig1":
-		return r.Fig1()
-	case "fig3":
-		return r.Fig3()
-	case "fig4":
-		return r.Fig4()
-	case "fig5":
-		return r.Fig5()
-	case "fig6":
-		return r.Fig6()
-	case "fig10":
-		return r.Fig10()
-	case "fig11":
-		return r.Fig11()
-	case "fig12a":
-		return r.Fig12("spec")
-	case "fig12b":
-		return r.Fig12("gap")
-	case "fig13":
-		return r.Fig13()
-	case "fig14":
-		return r.Fig14()
-	case "fig15":
-		return r.Fig15()
-	case "suf-accuracy":
-		return r.SUFAccuracy()
-	case "suf-traffic":
-		return r.SUFTraffic()
-	case "smt-suf":
-		return r.SMTSUF()
-	case "tsb-nonsecure":
-		return r.TSBNonSecure()
-	case "ablate-gm":
-		return r.AblateGMSize()
-	case "ablate-tlb":
-		return r.AblateTLB()
-	case "ablate-lateness":
-		return r.AblateLateness()
-	case "ablate-policy":
-		return r.AblatePolicy()
-	case "leakage-audit":
-		return r.LeakageAudit()
-	case "consolidation-interference":
-		return r.ConsolidationInterference()
+	for _, e := range registry {
+		if e.id == id {
+			return e.build(r)
+		}
 	}
-	return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, IDs)
+	return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v, extensions: %v)", id, IDs, ExtensionIDs)
 }
