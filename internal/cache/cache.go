@@ -49,6 +49,9 @@ type AccessInfo struct {
 	// classic late prefetch).
 	Merged bool
 	Cycle  mem.Cycle
+	// Timestamp is the request's program-order timestamp, so training
+	// events name the load that caused them.
+	Timestamp uint64
 }
 
 // FillInfo describes a line install; Berti-style self-timing
@@ -670,7 +673,7 @@ func (c *Cache) notifySpec(r *mem.Request, w int) {
 	if c.OnSpecAccess == nil {
 		return
 	}
-	ai := AccessInfo{Line: r.Line, IP: r.IP, Kind: r.Kind, Hit: w >= 0, Merged: r.MergedPrefetch, Cycle: c.now}
+	ai := AccessInfo{Line: r.Line, IP: r.IP, Kind: r.Kind, Hit: w >= 0, Merged: r.MergedPrefetch, Cycle: c.now, Timestamp: r.Timestamp}
 	if w >= 0 && c.meta[w].flags&linePrefetched != 0 {
 		ai.HitPrefetched = true
 		ai.PrefFetchLat = c.meta[w].fetchLat
@@ -1134,12 +1137,13 @@ func (c *Cache) notifyAccess(r *mem.Request, w int) {
 		return
 	}
 	ai := AccessInfo{
-		Line:   r.Line,
-		IP:     r.IP,
-		Kind:   r.Kind,
-		Hit:    w >= 0,
-		Merged: r.MergedPrefetch,
-		Cycle:  c.now,
+		Line:      r.Line,
+		IP:        r.IP,
+		Kind:      r.Kind,
+		Hit:       w >= 0,
+		Merged:    r.MergedPrefetch,
+		Cycle:     c.now,
+		Timestamp: r.Timestamp,
 	}
 	if w >= 0 && c.meta[w].flags&linePrefetched != 0 {
 		ai.HitPrefetched = true

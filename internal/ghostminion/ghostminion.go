@@ -170,10 +170,10 @@ type GM struct {
 	// that allocated the GM MSHR entry.
 	OnFill func(line mem.Line, servedBy mem.Level, latency mem.Cycle, cycle mem.Cycle, ip mem.Addr, accessed mem.Cycle)
 	// OnAccess, if set, observes every accepted speculative load with
-	// its GM hit/miss outcome — the training stream for on-access
-	// prefetching on the secure system (misses additionally surface at
-	// L1D via its OnSpecAccess hook with L1D hit information).
-	OnAccess func(line mem.Line, ip mem.Addr, hit bool, cycle mem.Cycle)
+	// its GM hit/miss outcome and timestamp — the training stream for
+	// on-access prefetching on the secure system (misses additionally
+	// surface at L1D via its OnSpecAccess hook with L1D hit information).
+	OnAccess func(line mem.Line, ip mem.Addr, hit bool, cycle mem.Cycle, ts uint64)
 
 	// Obs, if set, receives access/merge/fill/drop/commit/SUF events at
 	// the GM. Observers are read-only; see internal/probe.
@@ -319,7 +319,7 @@ func (g *GM) issueLoad(r *mem.Request, countStats, allowLeapfrog bool) bool {
 			}
 		}
 		if g.OnAccess != nil {
-			g.OnAccess(r.Line, r.IP, true, g.now)
+			g.OnAccess(r.Line, r.IP, true, g.now, r.Timestamp)
 		}
 		g.clock++
 		g.lmeta[w].lru = g.clock

@@ -35,19 +35,3 @@ func (m *Machine) ArmCoreWindows(core int, w probe.WindowObserver, every uint64)
 
 // FlushCoreWindows emits the final (usually partial) window at run end.
 func (m *Machine) FlushCoreWindows() { m.flushWindow() }
-
-// AttachCoreObserver points this core's private components (core, GM,
-// L1D, L2 — not the shared LLC/DRAM) at o. Sharded systems attach
-// shared-domain observers separately, exactly once.
-func (m *Machine) AttachCoreObserver(o probe.Observer) {
-	if o == nil {
-		return
-	}
-	m.obs = o
-	m.core.Obs = o
-	if m.gm != nil {
-		m.gm.Obs = o
-	}
-	m.l1d.Obs = o
-	m.l2.Obs = o
-}

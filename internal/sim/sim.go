@@ -44,6 +44,9 @@ type Machine struct {
 	llc  *cache.Cache
 	mem  *dram.DRAM
 	tlbs *tlb.Hierarchy
+	// loads is the core's load port: the GM on a secure system, the
+	// L1D otherwise.
+	loads cpu.LoadPort
 
 	pf         prefetch.Prefetcher
 	bertiPF    *berti.Prefetcher
@@ -102,8 +105,28 @@ func NewMachine(cfg Config, src trace.Source) (*Machine, error) {
 	// Slack covers retire-width overshoot at the warmup boundary (the
 	// warmup loop can retire a few instructions past its target).
 	total := cfg.WarmupInstrs + cfg.MaxInstrs + 64
-	src = trace.Repeat(src, total)
+	return build(cfg, trace.Repeat(src, total))
+}
 
+// NewDriven assembles the system of cfg around a core with no trace,
+// for a driver that issues, commits and squashes loads itself
+// (IssueLoad, CommitLoad, Squash) and steps the machine with Drive.
+// obs, if non-nil, observes every component, as Probes.Observer does.
+func NewDriven(cfg Config, obs probe.Observer) (*Machine, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	m, err := build(cfg, trace.NewSource(&trace.Trace{}))
+	if err != nil {
+		return nil, err
+	}
+	m.attachObserver(obs)
+	return m, nil
+}
+
+// build assembles the single-core system of cfg around a core reading
+// src.
+func build(cfg Config, src trace.Source) (*Machine, error) {
 	m := &Machine{cfg: cfg, pool: &mem.RequestPool{}}
 	m.mem = dram.New(cfg.DRAM)
 	m.llc = cache.New(cfg.LLC, m.mem)
@@ -123,7 +146,7 @@ func NewMachine(cfg Config, src trace.Source) (*Machine, error) {
 // core, the TLB, the request-pool wiring, the prefetcher (when
 // withPrefetcher is set; SMT threads share one) and the commit hook.
 func (m *Machine) buildCore(src trace.Source, withPrefetcher bool) error {
-	var loadPort cpu.LoadPort = l1dLoadPort{m.l1d}
+	m.loads = l1dLoadPort{m.l1d}
 	if m.cfg.Secure {
 		var filter ghostminion.Filter = ghostminion.FullUpdate{}
 		if m.cfg.SUF {
@@ -132,9 +155,9 @@ func (m *Machine) buildCore(src trace.Source, withPrefetcher bool) error {
 		}
 		m.gm = ghostminion.New(m.cfg.GM, m.l1d, filter)
 		m.gm.SetPool(m.pool)
-		loadPort = m.gm
+		m.loads = m.gm
 	}
-	m.core = cpu.New(m.cfg.Core, src, loadPort, l1dStorePort{m.l1d})
+	m.core = cpu.New(m.cfg.Core, src, m.loads, l1dStorePort{m.l1d})
 	m.core.SetPool(m.pool)
 	if !m.cfg.DisableTLB {
 		m.tlbs = tlb.New(m.cfg.TLB)
@@ -147,7 +170,7 @@ func (m *Machine) buildCore(src trace.Source, withPrefetcher bool) error {
 			return err
 		}
 	}
-	m.wireCommit()
+	m.core.OnCommitLoad = m.CommitLoad
 	return nil
 }
 
@@ -253,8 +276,8 @@ func (m *Machine) wireTraining() {
 			if m.obs != nil {
 				m.obs.Event(probe.Event{
 					Kind: probe.EvTrain, Site: probe.SitePF, Cycle: ai.Cycle,
-					Line: ai.Line, IP: ai.IP, Req: ai.Kind, Hit: ai.Hit,
-					Spec: true,
+					Seq: ai.Timestamp, Line: ai.Line, IP: ai.IP, Req: ai.Kind,
+					Hit: ai.Hit, Spec: true,
 				})
 			}
 			m.pf.Train(ev)
@@ -289,11 +312,11 @@ func (m *Machine) wireTraining() {
 			// GM hits never reach L1D, so the on-access trigger stream
 			// for L1D prefetchers also includes them (hits trigger
 			// issuing but do not insert history).
-			m.gm.OnAccess = func(line mem.Line, ip mem.Addr, hit bool, cycle mem.Cycle) {
+			m.gm.OnAccess = func(line mem.Line, ip mem.Addr, hit bool, cycle mem.Cycle, ts uint64) {
 				if !hit {
 					return // the miss trains via the L1D probe instead
 				}
-				onAccess(cache.AccessInfo{Line: line, IP: ip, Kind: mem.KindLoad, Hit: true, Cycle: cycle})
+				onAccess(cache.AccessInfo{Line: line, IP: ip, Kind: mem.KindLoad, Hit: true, Cycle: cycle, Timestamp: ts})
 			}
 		}
 	} else {
@@ -325,21 +348,57 @@ func (m *Machine) wireTraining() {
 	}
 }
 
-// wireCommit attaches the retirement hook: GhostMinion's commit engine
-// (with SUF), on-commit/TSB prefetcher training, and the classifier.
-func (m *Machine) wireCommit() {
-	m.core.OnCommitLoad = func(ci cpu.CommitInfo) bool {
-		if m.gm != nil {
-			if !m.gm.CanCommit() {
-				return false
-			}
-			m.gm.Commit(ci.Line, ci.Seq, ci.HitLevel, &m.core.Stats)
+// CommitLoad retires one load: GhostMinion's commit engine (with SUF)
+// on a secure system, then on-commit or TSB prefetcher training. It
+// does nothing and reports false while the commit engine is full. It is
+// the core's retirement hook, and a driver's commit (NewDriven).
+func (m *Machine) CommitLoad(ci cpu.CommitInfo) bool {
+	if m.gm != nil {
+		if !m.gm.CanCommit() {
+			return false
 		}
-		m.core.Stats.CommitHitLevel[ci.HitLevel]++
-		if m.pf != nil {
-			m.commitTrain(ci)
+		m.gm.Commit(ci.Line, ci.Seq, ci.HitLevel, &m.core.Stats)
+	}
+	m.core.Stats.CommitHitLevel[ci.HitLevel]++
+	if m.pf != nil {
+		m.commitTrain(ci)
+	}
+	return true
+}
+
+// IssueLoad hands a driver's load to the core's load port (NewDriven)
+// and reports whether the port accepted it.
+func (m *Machine) IssueLoad(r *mem.Request) bool { return m.loads.IssueLoad(r) }
+
+// Squash discards the speculative state of every load with timestamp
+// seq or later, as a mispredicted branch's squash does (NewDriven). The
+// GM announces its own squash; a non-secure system keeps no speculative
+// state, so the machine announces the architectural event itself.
+func (m *Machine) Squash(seq uint64) {
+	if m.gm != nil {
+		m.gm.Squash(seq)
+	} else if m.obs != nil {
+		m.obs.Event(probe.Event{Kind: probe.EvSquash, Site: probe.SiteCore, Cycle: m.now, Seq: seq, Spec: true})
+	}
+}
+
+// Drive advances a driven machine (NewDriven) until done reports true
+// or the clock reaches until, and reports whether done did; a nil done
+// runs to until. It primes the calendar afresh: the driver hands the
+// components work between calls, which a calendar primed earlier cannot
+// see.
+func (m *Machine) Drive(until mem.Cycle, done func() bool) bool {
+	if !m.noSkip {
+		m.prime()
+	}
+	for {
+		if done != nil && done() {
+			return true
 		}
-		return true
+		if m.now >= until {
+			return false
+		}
+		m.advance(until)
 	}
 }
 

@@ -31,7 +31,7 @@ func wedgedMachine(t *testing.T, noSkip bool) *Machine {
 	}
 	m.core = cpu.New(cfg.Core, smokeTrace(t, "bfs-3B", 12_000), blackHolePort{}, l1dStorePort{m.l1d})
 	m.core.SetPool(m.pool)
-	m.wireCommit()
+	m.core.OnCommitLoad = m.CommitLoad
 	m.pairs[0].core = m.core
 	m.noSkip = noSkip
 	return m
