@@ -26,7 +26,7 @@ func BuildSMT(cfg Config, threads []trace.Source) ([]*Machine, error) {
 		return nil, fmt.Errorf("sim: SMT model is 2-way, got %d threads", len(threads))
 	}
 	channel := dram.New(cfg.DRAM)
-	llc := cache.New(cache.LLCConfig(1), channel)
+	llc := cache.New(cfg.LLC, channel)
 	l2 := cache.New(cfg.L2, llc)
 	l1d := cache.New(cfg.L1D, l2)
 	// One goroutine steps both threads and the shared levels: a single

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"secpref/internal/cache"
 	"secpref/internal/trace"
 	"secpref/internal/workload"
 )
@@ -77,5 +78,26 @@ func TestSMTRequiresTwoThreads(t *testing.T) {
 	cfg := DefaultConfig()
 	if _, err := BuildSMT(cfg, nil); err == nil {
 		t.Fatal("expected thread-count error")
+	}
+}
+
+// TestSMTBuildsCachesFromConfig checks that the SMT core builds every
+// shared level from the configuration Validate checked, the LLC
+// included.
+func TestSMTBuildsCachesFromConfig(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.LLC.SizeKiB /= 4
+	cfg.LLC.MSHRs = 8
+	ms, err := BuildSMT(cfg, smtSources(t, "605.mcf-1554B", "602.gcc-1850B", 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want cache.Config
+	}{{"L1D", ms[0].l1d.Config(), cfg.L1D}, {"L2", ms[0].l2.Config(), cfg.L2}, {"LLC", ms[0].llc.Config(), cfg.LLC}} {
+		if c.got != c.want {
+			t.Errorf("SMT %s built as %+v, configured %+v", c.name, c.got, c.want)
+		}
 	}
 }
