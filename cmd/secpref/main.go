@@ -26,6 +26,7 @@ import (
 	"secpref/internal/leakage"
 	"secpref/internal/mem"
 	"secpref/internal/observatory"
+	"secpref/internal/prefetch"
 	"secpref/internal/probe"
 	"secpref/internal/trace"
 )
@@ -146,10 +147,7 @@ func main() {
 	fmt.Printf("L1D APKI:         load=%.1f prefetch=%.1f commit=%.1f\n", ap.Load, ap.Prefetch, ap.Commit)
 	fmt.Printf("branch mispred:   %.2f%%\n", res.Core.MispredictRate()*100)
 	if cfg.Prefetcher != "none" {
-		home := mem.LvlL1D
-		if cfg.Prefetcher == "bingo" || cfg.Prefetcher == "spp-ppf" {
-			home = mem.LvlL2
-		}
+		home := prefetch.HomeOf(cfg.Prefetcher)
 		fmt.Printf("pref accuracy:    %.1f%% (at %s)\n", res.PrefAccuracy(home)*100, home)
 	}
 	if cfg.Secure {

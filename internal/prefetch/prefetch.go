@@ -12,6 +12,7 @@ package prefetch
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"secpref/internal/mem"
 )
@@ -92,6 +93,28 @@ func New(name string, issue Issuer) (Prefetcher, error) {
 		return nil, fmt.Errorf("prefetch: unknown prefetcher %q (known: %v)", name, Names())
 	}
 	return f(issue), nil
+}
+
+var (
+	homesMu sync.Mutex
+	homes   = map[string]mem.Level{}
+)
+
+// HomeOf returns the cache level the named prefetcher lives at, as its
+// Home reports it; "none" and unregistered names live at the L1D, as
+// None does. The first call for a name builds one instance of it.
+func HomeOf(name string) mem.Level {
+	homesMu.Lock()
+	defer homesMu.Unlock()
+	home, ok := homes[name]
+	if !ok {
+		home = None{}.Home()
+		if p, err := New(name, func(mem.Line, mem.Addr, mem.Level) bool { return false }); err == nil {
+			home = p.Home()
+		}
+		homes[name] = home
+	}
+	return home
 }
 
 // Names returns the registered prefetcher names, sorted.

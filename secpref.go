@@ -182,9 +182,5 @@ func SpectrePrefetchLeak(cfg AttackConfig, secret int) (AttackOutcome, error) {
 // named prefetcher, aggregating fills from its home level down (L1D for
 // ip-stride/ipcp/berti, L2 for bingo/spp-ppf).
 func PrefetcherAccuracy(res *Result, prefetcher string) float64 {
-	home := mem.LvlL1D
-	if prefetcher == "bingo" || prefetcher == "spp-ppf" {
-		home = mem.LvlL2
-	}
-	return res.PrefAccuracy(home)
+	return res.PrefAccuracy(prefetch.HomeOf(prefetcher))
 }
