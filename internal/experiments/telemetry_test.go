@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -32,11 +33,12 @@ func TestTimeseriesOutputInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
+	opts := QuickOptions()
+	opts.Instrs = 6000
+	opts.Warmup = 1000
+	opts.Traces = []string{"605.mcf-1554B", "bfs-3B"}
 	gen := func(dir string, c *probe.Campaign) string {
-		opts := QuickOptions()
-		opts.Instrs = 6000
-		opts.Warmup = 1000
-		opts.Traces = []string{"605.mcf-1554B", "bfs-3B"}
+		opts := opts
 		opts.TimeseriesDir = dir
 		opts.Campaign = c
 		tab, err := NewRunner(opts).Run("fig4")
@@ -64,7 +66,8 @@ func TestTimeseriesOutputInvariant(t *testing.T) {
 
 	// The series JSON must decode and hold per-interval rows; the trace
 	// must be a Chrome trace-event array.
-	raw, err := os.ReadFile(filepath.Join(dir, "605.mcf-1554B__"+export.FileName("berti/on-access/secure")+".series.json"))
+	stem := "605.mcf-1554B__" + export.FileName(runLabel(onAccessSecure("berti").config(opts)))
+	raw, err := os.ReadFile(filepath.Join(dir, stem+".series.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +114,44 @@ func TestTimeseriesOutputInvariant(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(string(rawCSV)), "\n")
 	if len(lines) < 4 || !strings.HasPrefix(lines[0], "cycle,instructions,ipc,") {
 		t.Errorf("csv export off (%d lines, header %q)", len(lines), lines[0])
+	}
+}
+
+// TestTimeseriesNamesFollowTheRun runs two experiments that share runs
+// in both orders: the 32-line GM row of ablate-gm and the LRU row of
+// ablate-policy are both the default TSB+SUF system, over one baseline.
+// The exported file sets must be identical, because a file is named by
+// its run's input, not by the experiment that started the run.
+func TestTimeseriesNamesFollowTheRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	files := func(ids ...string) []string {
+		opts := QuickOptions()
+		opts.Instrs = 4000
+		opts.Warmup = 1000
+		opts.Traces = []string{"605.mcf-1554B"}
+		opts.TimeseriesDir = t.TempDir()
+		r := NewRunner(opts)
+		for _, id := range ids {
+			if _, err := r.Run(id); err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+		}
+		entries, err := os.ReadDir(opts.TimeseriesDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	gmFirst := files("ablate-gm", "ablate-policy")
+	policyFirst := files("ablate-policy", "ablate-gm")
+	if len(gmFirst) == 0 || !reflect.DeepEqual(gmFirst, policyFirst) {
+		t.Errorf("exported files depend on experiment order:\nablate-gm first:     %v\nablate-policy first: %v", gmFirst, policyFirst)
 	}
 }
 
