@@ -50,7 +50,7 @@ func main() {
 		fmt.Printf("%-36s %v\n", sys.name, o)
 	}
 
-	fmt.Println("\nOn-commit prefetching (and hence TSB) closes the prefetcher channel:")
+	fmt.Println("\nOn-commit prefetching closes the prefetcher channel:")
 	fmt.Println("the prefetcher is never trained on transient loads, so no secret-")
 	fmt.Println("dependent state reaches the cache hierarchy.")
 }

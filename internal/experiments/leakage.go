@@ -40,7 +40,7 @@ func (r *Runner) LeakageAudit() (*Table, error) {
 		Notes: []string{
 			"tainted: persistent-structure mutations (lines, repl-meta, train-tables) by later-squashed work; spec-trains: prefetcher trainings on uncommitted accesses — both must be 0 on secure/on-commit",
 			"bits/trial: empirical mutual information of the (secret, inferred) prime+probe channel (16-way secret = 4 bits max); MI(lat): upper bound from probe-latency distributions; sep: mean other-slot minus secret-slot probe latency in cycles",
-			"secure rows keep a nonzero MI(lat)/sep: the victim's transient DRAM access leaves its row buffer open and the attacker's matching probe row-hits ~50 cycles faster — the DRAMA-style residue outside GhostMinion's cache-state threat model (the audit columns, its actual claim, are zero)",
+			"secure rows keep a nonzero MI(lat)/sep: the victim's transient DRAM access leaves its row buffer open, so the attacker's matching probe, or a commit-time prefetch of that slot, row-hits ~50 cycles faster — a DRAMA-style residue outside GhostMinion's cache-state threat model; through the prefetch (ip-stride, ipcp, berti) it reaches bits/trial (docs/security-audit.md); the audit columns, GhostMinion's claim, stay zero",
 			fmt.Sprintf("campaign rows audit full sim runs (berti, %d traces × %d instrs); attack rows use the prime+probe harness, one trial per candidate secret", len(r.opts.Traces), r.opts.Instrs),
 		},
 	}
