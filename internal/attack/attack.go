@@ -32,17 +32,20 @@ type Config struct {
 	// Secure selects the GhostMinion hierarchy.
 	Secure bool
 	// Prefetcher optionally attaches a prefetcher at its home level
-	// ("" = none; "ip-stride" is the canonical attack vector).
+	// ("" or "none" = none; "ip-stride" is the canonical attack vector).
 	Prefetcher string
 	// OnCommitPrefetch trains/triggers the prefetcher only at commit
 	// (the secure discipline); otherwise it trains on every access,
-	// including transient ones.
+	// including transient ones. Without a prefetcher it changes nothing.
 	OnCommitPrefetch bool
 	// Obs, if non-nil, observes the run: it is attached to every
 	// component of the machine, and the harness itself emits the
 	// core-side lifecycle of its loads (EvIssue/EvFill/EvCommit).
 	Obs probe.Observer
 }
+
+// prefetching reports whether cfg names a prefetcher.
+func (cfg Config) prefetching() bool { return cfg.Prefetcher != "" && cfg.Prefetcher != "none" }
 
 // System is a machine under attack-harness control.
 type System struct {
@@ -56,7 +59,7 @@ type System struct {
 func NewSystem(cfg Config) (*System, error) {
 	sc := sim.DefaultConfig()
 	sc.Secure, sc.Prefetcher = cfg.Secure, cfg.Prefetcher
-	if cfg.OnCommitPrefetch {
+	if cfg.OnCommitPrefetch && cfg.prefetching() {
 		sc.Mode = sim.ModeOnCommit
 	}
 	m, err := sim.NewDriven(sc, cfg.Obs)

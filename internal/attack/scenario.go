@@ -78,7 +78,7 @@ func SpectrePrefetchLeak(cfg Config, secret int) (Outcome, error) {
 	if secret < 0 || secret >= len(CandidateStrides) {
 		return Outcome{}, fmt.Errorf("attack: secret %d out of range [0,%d)", secret, len(CandidateStrides))
 	}
-	if cfg.Prefetcher == "" {
+	if !cfg.prefetching() {
 		return Outcome{}, fmt.Errorf("attack: prefetch leak needs a prefetcher")
 	}
 	s, err := NewSystem(cfg)

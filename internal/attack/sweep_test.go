@@ -47,8 +47,10 @@ func TestAttackErrors(t *testing.T) {
 	if _, err := SpectreCacheLeak(Config{}, -1); err == nil {
 		t.Error("out-of-range secret accepted")
 	}
-	if _, err := SpectrePrefetchLeak(Config{}, 3); err == nil {
-		t.Error("prefetch leak without a prefetcher accepted")
+	for _, pf := range []string{"", "none"} {
+		if _, err := SpectrePrefetchLeak(Config{Prefetcher: pf}, 3); err == nil {
+			t.Errorf("prefetch leak with prefetcher %q accepted", pf)
+		}
 	}
 	if _, err := SpectrePrefetchLeak(Config{Prefetcher: "ip-stride"}, 99); err == nil {
 		t.Error("out-of-range stride secret accepted")

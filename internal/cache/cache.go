@@ -201,9 +201,6 @@ type Cache struct {
 	OnAccess func(AccessInfo)
 	// OnFill, if set, observes line installs at this level.
 	OnFill func(FillInfo)
-	// OnEvict, if set, observes evictions of valid lines (the Bingo
-	// prefetcher and the attack harness use it).
-	OnEvict func(line mem.Line)
 	// OnSpecAccess, if set, observes GhostMinion speculative-bypass
 	// probes (the training stream for on-access prefetching on a secure
 	// cache system).
@@ -1065,9 +1062,6 @@ func (c *Cache) evict(w int, by *mem.Request) bool {
 		}
 	}
 	c.Stats.Evictions++
-	if c.OnEvict != nil {
-		c.OnEvict(line)
-	}
 	if c.Obs != nil {
 		c.Obs.Event(probe.Event{
 			Kind: probe.EvEvict, Site: c.site, Cycle: c.now, Core: by.Core,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"secpref/internal/mem"
+	"secpref/internal/probe"
 )
 
 func TestHitLatencyExact(t *testing.T) {
@@ -77,11 +78,22 @@ func TestRFOFillMarksDirty(t *testing.T) {
 	}
 }
 
+// eventFunc adapts a function to probe.Observer.
+type eventFunc func(probe.Event)
+
+func (f eventFunc) Event(ev probe.Event) { f(ev) }
+
+// TestOnEvictHook checks the cache's eviction events: filling a third
+// line into a two-way set evicts the least recently used one, once.
 func TestOnEvictHook(t *testing.T) {
 	next := &mockNext{}
 	c := New(tinyConfig(), next)
 	var evicted []mem.Line
-	c.OnEvict = func(l mem.Line) { evicted = append(evicted, l) }
+	c.Obs = eventFunc(func(ev probe.Event) {
+		if ev.Kind == probe.EvEvict {
+			evicted = append(evicted, ev.Line)
+		}
+	})
 	now := mem.Cycle(0)
 	for i := uint64(0); i < 3; i++ {
 		c.Enqueue(loadReq(lineInSet(5, i), nil))

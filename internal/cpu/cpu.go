@@ -141,9 +141,7 @@ type Core struct {
 	// moves; see WakeCount.
 	wake uint64
 
-	// Bulk-decode buffer for sources supporting trace.BatchSource;
-	// batcher is nil when the source only does one-at-a-time reads.
-	batcher  trace.BatchSource
+	// Bulk-decode buffer: nextInstr refills it with one ReadBatch call.
 	batch    []trace.Instr
 	batchPos int
 
@@ -191,9 +189,6 @@ type Core struct {
 	// OnCommitLoad is invoked for every retiring load; returning false
 	// stalls retirement this cycle (commit engine back-pressure).
 	OnCommitLoad func(ci CommitInfo) bool
-	// OnIssueLoad is invoked when a load is sent to the memory system
-	// (the on-access training stream and the X-LQ record point).
-	OnIssueLoad func(line mem.Line, ip mem.Addr, lqID int, cycle mem.Cycle)
 
 	// TLB, if set, charges address-translation latency before each load
 	// issues (the Table II dTLB/STLB hierarchy).
@@ -220,6 +215,7 @@ func New(cfg Config, src trace.Source, loads LoadPort, storeTo StorePort) *Core 
 		storeTo:  storeTo,
 		lastLoad: -1,
 		pool:     &mem.RequestPool{},
+		batch:    make([]trace.Instr, 0, dispatchBatch),
 	}
 	pendCap := 1
 	for pendCap < cfg.LQSize {
@@ -229,10 +225,6 @@ func New(cfg Config, src trace.Source, loads LoadPort, storeTo StorePort) *Core 
 	c.pendMask = pendCap - 1
 	if vp, ok := loads.(VersionedPort); ok {
 		c.verPort = vp
-	}
-	if b, ok := src.(trace.BatchSource); ok {
-		c.batcher = b
-		c.batch = make([]trace.Instr, 0, dispatchBatch)
 	}
 	return c
 }
@@ -244,23 +236,20 @@ func New(cfg Config, src trace.Source, loads LoadPort, storeTo StorePort) *Core 
 const dispatchBatch = 256
 
 // nextInstr fetches the next trace instruction, refilling the batch
-// buffer when the source supports bulk decode.
+// buffer when it runs dry.
 func (c *Core) nextInstr() (trace.Instr, bool) {
 	if c.batchPos < len(c.batch) {
 		in := c.batch[c.batchPos]
 		c.batchPos++
 		return in, true
 	}
-	if c.batcher != nil {
-		n := c.batcher.ReadBatch(c.batch[:dispatchBatch])
-		if n == 0 {
-			return trace.Instr{}, false
-		}
-		c.batch = c.batch[:n]
-		c.batchPos = 1
-		return c.batch[0], true
+	n := c.src.ReadBatch(c.batch[:dispatchBatch])
+	if n == 0 {
+		return trace.Instr{}, false
 	}
-	return c.src.Next()
+	c.batch = c.batch[:n]
+	c.batchPos = 1
+	return c.batch[0], true
 }
 
 // SetPool shares the machine-wide request pool with the core.
@@ -612,9 +601,6 @@ func (c *Core) tryIssue(e *robEntry, idx int, ver uint64) bool {
 	}
 	e.issued = true
 	e.portBlocked = false
-	if c.OnIssueLoad != nil {
-		c.OnIssueLoad(e.req.Line, e.req.IP, e.lqID, c.now)
-	}
 	if c.Obs != nil {
 		c.Obs.Event(probe.Event{
 			Kind: probe.EvIssue, Site: probe.SiteCore, Cycle: c.now,

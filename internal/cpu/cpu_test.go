@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
 
 	"secpref/internal/mem"
@@ -60,10 +61,20 @@ func run(t *testing.T, c *Core, port *fixedLatencyPort, maxCycles int) mem.Cycle
 		c.Tick(now)
 		port.step()
 		if int(now) > maxCycles {
-			t.Fatalf("core did not finish in %d cycles: %s", maxCycles, c.DebugHead())
+			t.Fatalf("core did not finish in %d cycles: %s", maxCycles, robHead(c))
 		}
 	}
 	return now
+}
+
+// robHead describes the ROB head entry for a failure message.
+func robHead(c *Core) string {
+	if c.count == 0 {
+		return fmt.Sprintf("rob empty (srcDone=%v staged=%v stores=%d)", c.srcDone, c.hasStaged, c.stores.Len())
+	}
+	e := &c.rob[c.head]
+	return fmt.Sprintf("rob head: seq=%d isLoad=%v issued=%v done=%v line=%#x pendLoads=%d lqFree=%d count=%d",
+		e.seq, e.isLoad, e.issued, e.done, e.in.Load, c.pendLen, c.lqFree, c.count)
 }
 
 func seqTrace(n int, mk func(i int) trace.Instr) trace.Source {

@@ -4,10 +4,19 @@ import (
 	"testing"
 
 	"secpref/internal/mem"
+	"secpref/internal/probe"
 	"secpref/internal/tlb"
 	"secpref/internal/trace"
 )
 
+// eventFunc adapts a function to probe.Observer.
+type eventFunc func(probe.Event)
+
+func (f eventFunc) Event(ev probe.Event) { f(ev) }
+
+// TestOnIssueLoadHook checks the core's issue events: one EvIssue per
+// load sent to the memory system, and a distinct LQ id per load at
+// commit.
 func TestOnIssueLoadHook(t *testing.T) {
 	port := &fixedLatencyPort{lat: 3}
 	src := seqTrace(20, func(i int) trace.Instr {
@@ -15,10 +24,15 @@ func TestOnIssueLoadHook(t *testing.T) {
 	})
 	c := New(DefaultConfig(), src, port, &sinkStore{})
 	var issued []mem.Line
+	c.Obs = eventFunc(func(ev probe.Event) {
+		if ev.Kind == probe.EvIssue {
+			issued = append(issued, ev.Line)
+		}
+	})
 	lqIDs := map[int]bool{}
-	c.OnIssueLoad = func(line mem.Line, _ mem.Addr, lqID int, _ mem.Cycle) {
-		issued = append(issued, line)
-		lqIDs[lqID] = true
+	c.OnCommitLoad = func(ci CommitInfo) bool {
+		lqIDs[ci.LQID] = true
+		return true
 	}
 	run(t, c, port, 10000)
 	if len(issued) != 20 {

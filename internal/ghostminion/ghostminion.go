@@ -165,15 +165,15 @@ type GM struct {
 	// (GM-level) miss latency in the secure system.
 	Stats stats.CacheStats
 
-	// OnFill, if set, observes GM fills with the measured fetch latency
-	// (the TSB X-LQ records it). ip and accessed describe the access
-	// that allocated the GM MSHR entry.
-	OnFill func(line mem.Line, servedBy mem.Level, latency mem.Cycle, cycle mem.Cycle, ip mem.Addr, accessed mem.Cycle)
-	// OnAccess, if set, observes every accepted speculative load with
-	// its GM hit/miss outcome and timestamp — the training stream for
-	// on-access prefetching on the secure system (misses additionally
-	// surface at L1D via its OnSpecAccess hook with L1D hit information).
-	OnAccess func(line mem.Line, ip mem.Addr, hit bool, cycle mem.Cycle, ts uint64)
+	// OnFill, if set, observes GM fills with the measured fetch
+	// latency. ip and accessed describe the access that allocated the
+	// GM MSHR entry.
+	OnFill func(line mem.Line, latency mem.Cycle, ip mem.Addr, accessed mem.Cycle)
+	// OnHit, if set, observes every speculative load that hits in the
+	// GM, with its cycle and timestamp. GM hits never reach the L1D, so
+	// this completes the on-access training stream on the secure system;
+	// misses surface at the L1D through its OnSpecAccess hook.
+	OnHit func(line mem.Line, ip mem.Addr, cycle mem.Cycle, ts uint64)
 
 	// Obs, if set, receives access/merge/fill/drop/commit/SUF events at
 	// the GM. Observers are read-only; see internal/probe.
@@ -227,9 +227,6 @@ func (g *GM) SetPool(p *mem.RequestPool) { g.pool = p }
 // until the version changes — provably the same accept cycle as
 // retrying every cycle, at a fraction of the cost.
 func (g *GM) StateVersion() uint64 { return g.ver }
-
-// SetFilter replaces the commit filter (used to toggle SUF).
-func (g *GM) SetFilter(f Filter) { g.filter = f }
 
 // sigRebuildAfter bounds signature staleness: after this many tag
 // invalidations the signature is recomputed from the live tags, so
@@ -318,8 +315,8 @@ func (g *GM) issueLoad(r *mem.Request, countStats, allowLeapfrog bool) bool {
 				})
 			}
 		}
-		if g.OnAccess != nil {
-			g.OnAccess(r.Line, r.IP, true, g.now, r.Timestamp)
+		if g.OnHit != nil {
+			g.OnHit(r.Line, r.IP, g.now, r.Timestamp)
 		}
 		g.clock++
 		g.lmeta[w].lru = g.clock
@@ -528,7 +525,7 @@ func (g *GM) fill(e *gmMSHR, pr *mem.Request) {
 			ip = e.waiters[0].IP
 			accessed = e.waiters[0].Issued
 		}
-		g.OnFill(e.line, servedBy, lat, g.now, ip, accessed)
+		g.OnFill(e.line, lat, ip, accessed)
 	}
 	for _, w := range e.waiters {
 		w.ServedBy = servedBy

@@ -172,7 +172,7 @@ func (d *dropFilter) OnCommit(mem.Line, mem.Level) (bool, uint8) {
 func TestFilterDropSuppressesUpdate(t *testing.T) {
 	r := newRig()
 	f := &dropFilter{}
-	r.gm.SetFilter(f)
+	r.gm.filter = f
 	_, seq := r.specLoad(700)
 	writes := r.next.writes
 	r.gm.Commit(700, seq, mem.LvlL1D, &r.cs)

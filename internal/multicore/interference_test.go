@@ -74,8 +74,8 @@ func TestObserversPreserveBitIdentity(t *testing.T) {
 	}
 
 	pObs, parSamplers := obsProbes(cfg.Cores)
-	pObs.Digest, pObs.DigestEvery = observatory.NewRecorder(), 512
-	recObs := pObs.Digest.(*observatory.Recorder)
+	recObs := observatory.NewRecorder()
+	pObs.Digest, pObs.DigestEvery = recObs, 512
 	obs, err := multicore.RunProbed(cfg, detMix(t), pObs)
 	if err != nil {
 		t.Fatal(err)
@@ -83,8 +83,8 @@ func TestObserversPreserveBitIdentity(t *testing.T) {
 
 	rObs, refSamplers := obsProbes(cfg.Cores)
 	rObs.ReferenceEngine = true
-	rObs.Digest, rObs.DigestEvery = observatory.NewRecorder(), 512
-	recRef := rObs.Digest.(*observatory.Recorder)
+	recRef := observatory.NewRecorder()
+	rObs.Digest, rObs.DigestEvery = recRef, 512
 	ref, err := multicore.RunProbed(cfg, detMix(t), rObs)
 	if err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ type Probes struct {
 	// Digest, when non-nil, receives the system digest vector (per-core
 	// private blocks then shared LLC/DRAM; sim.MulticoreComponentNames)
 	// at every DigestEvery barrier cycle.
-	Digest observatory.DigestSink
+	Digest *observatory.Recorder
 	// DigestEvery is the digest interval; zero means
 	// sim.DefaultDigestEvery. Barriers are clamped to digest boundaries
 	// so both engines sample identical cycles.

@@ -8,22 +8,15 @@ import (
 	"secpref/internal/mem"
 )
 
-// DigestSink receives the machine's rolling per-component state
-// digests. Digest is called at every digest-interval boundary of a run
-// with the cycle and the component digest vector; the slice is reused
-// across calls — implementations must copy what they keep.
-type DigestSink interface {
-	Digest(cycle mem.Cycle, comps []uint64)
-}
-
 // DigestPoint is one recorded digest-stream sample.
 type DigestPoint struct {
 	Cycle mem.Cycle `json:"cycle"`
 	Comps []uint64  `json:"digests"`
 }
 
-// Recorder is a DigestSink that stores the stream for comparison and
-// export. Not safe for concurrent use — one Recorder per run.
+// Recorder stores a run's rolling per-component state-digest stream
+// for comparison and export. Not safe for concurrent use — one
+// Recorder per run.
 type Recorder struct {
 	// EngineVersion and Interval are stamped by the simulator when the
 	// recorder is attached.
@@ -37,7 +30,8 @@ type Recorder struct {
 // NewRecorder returns an empty digest-stream recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Digest implements DigestSink.
+// Digest records the component digest vector comps at cycle. The
+// engine reuses comps across calls, so Digest copies it.
 func (r *Recorder) Digest(cycle mem.Cycle, comps []uint64) {
 	r.Points = append(r.Points, DigestPoint{Cycle: cycle, Comps: append([]uint64(nil), comps...)})
 }

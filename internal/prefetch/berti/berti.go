@@ -397,7 +397,3 @@ func (p *Prefetcher) issueDeltas(h uint32, line mem.Line, ip mem.Addr) {
 		}
 	}
 }
-
-// Fill implements prefetch.Prefetcher. The harness calls Observe with
-// mode-appropriate times instead; Fill is unused for Berti.
-func (p *Prefetcher) Fill(mem.Line, mem.Cycle, bool, mem.Cycle) {}

@@ -257,6 +257,3 @@ func (p *Prefetcher) allocAT() *atEntry {
 	p.evictAT(v)
 	return v
 }
-
-// Fill implements prefetch.Prefetcher (Bingo is not self-timing).
-func (p *Prefetcher) Fill(mem.Line, mem.Cycle, bool, mem.Cycle) {}

@@ -99,5 +99,4 @@ func TestNone(t *testing.T) {
 		t.Error("None misbehaves")
 	}
 	n.Train(Event{})
-	n.Fill(0, 0, false, 0)
 }

@@ -296,6 +296,3 @@ func popcount(x uint32) int {
 	}
 	return n
 }
-
-// Fill implements prefetch.Prefetcher (IPCP is not self-timing).
-func (p *Prefetcher) Fill(mem.Line, mem.Cycle, bool, mem.Cycle) {}

@@ -119,6 +119,3 @@ func (p *Prefetcher) Train(ev prefetch.Event) {
 		}
 	}
 }
-
-// Fill implements prefetch.Prefetcher (IP-stride is not self-timing).
-func (p *Prefetcher) Fill(mem.Line, mem.Cycle, bool, mem.Cycle) {}

@@ -51,9 +51,6 @@ type Prefetcher interface {
 	Home() mem.Level
 	// Train observes one demand access (or committed load).
 	Train(ev Event)
-	// Fill observes a line install at the home level; self-timing
-	// prefetchers measure fetch latency from it.
-	Fill(line mem.Line, lat mem.Cycle, wasPrefetch bool, now mem.Cycle)
 	// StorageBytes reports the hardware budget (Table III).
 	StorageBytes() int
 }
@@ -138,9 +135,6 @@ func (None) Home() mem.Level { return mem.LvlL1D }
 
 // Train implements Prefetcher.
 func (None) Train(Event) {}
-
-// Fill implements Prefetcher.
-func (None) Fill(mem.Line, mem.Cycle, bool, mem.Cycle) {}
 
 // StorageBytes implements Prefetcher.
 func (None) StorageBytes() int { return 0 }

@@ -7,12 +7,13 @@ import (
 )
 
 func TestRegisterDuplicatePanics(t *testing.T) {
+	Register("dup-test", func(Issuer) Prefetcher { return None{} })
+	t.Cleanup(func() { delete(factories, "dup-test") })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration must panic")
 		}
 	}()
-	Register("dup-test", func(Issuer) Prefetcher { return None{} })
 	Register("dup-test", func(Issuer) Prefetcher { return None{} })
 }
 
@@ -23,6 +24,7 @@ func TestNewBindsIssuer(t *testing.T) {
 		called++
 		return None{}
 	})
+	t.Cleanup(func() { delete(factories, "issuer-test") })
 	if _, err := New("issuer-test", func(mem.Line, mem.Addr, mem.Level) bool { return true }); err != nil {
 		t.Fatal(err)
 	}

@@ -304,6 +304,3 @@ func (p *Prefetcher) ghrMatch(off int8) *ghrEntry {
 	}
 	return nil
 }
-
-// Fill implements prefetch.Prefetcher (SPP is not self-timing).
-func (p *Prefetcher) Fill(mem.Line, mem.Cycle, bool, mem.Cycle) {}

@@ -51,8 +51,8 @@ type Config struct {
 	Secure bool
 	// SUF enables the Secure Update Filter (requires Secure).
 	SUF bool
-	// Prefetcher names the engine: "none", "ip-stride", "ipcp",
-	// "bingo", "spp-ppf", "berti".
+	// Prefetcher names the engine: "none" (or ""), "ip-stride",
+	// "ipcp", "bingo", "spp-ppf", "berti".
 	Prefetcher string
 	// Mode selects the training/trigger point.
 	Mode Mode
@@ -120,6 +120,10 @@ func (c Config) CycleBudget() mem.Cycle {
 	return mem.Cycle(2000 * (c.WarmupInstrs + c.MaxInstrs))
 }
 
+// prefetching reports whether the configuration names a prefetcher;
+// "" and "none" both spell no prefetcher.
+func (c Config) prefetching() bool { return c.Prefetcher != "" && c.Prefetcher != "none" }
+
 // Validate reports configuration contradictions and sizes the model
 // cannot run: each rejected size either panics at build time or wedges
 // the run.
@@ -127,7 +131,7 @@ func (c Config) Validate() error {
 	if c.SUF && !c.Secure {
 		return fmt.Errorf("sim: SUF requires the secure cache system")
 	}
-	if c.Mode != ModeOnAccess && !c.Secure && c.Prefetcher == "none" {
+	if c.Mode != ModeOnAccess && !c.Secure && !c.prefetching() {
 		return fmt.Errorf("sim: commit-time modes need a prefetcher or a secure system")
 	}
 	if c.MaxInstrs <= 0 {
@@ -222,7 +226,7 @@ func (c Config) Label() string {
 			sys = "secure+SUF"
 		}
 	}
-	if c.Prefetcher == "none" || c.Prefetcher == "" {
+	if !c.prefetching() {
 		return fmt.Sprintf("no-pref/%s", sys)
 	}
 	return fmt.Sprintf("%s/%s/%s", c.Prefetcher, c.Mode, sys)

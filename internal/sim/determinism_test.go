@@ -36,14 +36,6 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// emptySource is a trace that yields nothing — the degenerate input
-// NewMachine must reject up front rather than wedge on.
-type emptySource struct{}
-
-func (emptySource) Name() string              { return "empty-trace" }
-func (emptySource) Next() (trace.Instr, bool) { return trace.Instr{}, false }
-func (emptySource) Reset()                    {}
-
 // TestNewMachineRejectsEmptyTrace covers the trace.Repeat-over-nothing
 // footgun: a Repeat around an empty source spins forever producing zero
 // instructions. Machine construction must fail immediately with a
@@ -51,9 +43,12 @@ func (emptySource) Reset()                    {}
 func TestNewMachineRejectsEmptyTrace(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxInstrs = 1000
+	// A trace that yields nothing is the degenerate input NewMachine
+	// must reject up front rather than wedge on.
+	empty := &trace.Trace{Name: "empty-trace"}
 	for _, src := range []trace.Source{
-		emptySource{},
-		trace.Repeat(emptySource{}, 1000),
+		trace.NewSource(empty),
+		trace.Repeat(trace.NewSource(empty), 1000),
 	} {
 		_, err := NewMachine(cfg, src)
 		if err == nil {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"secpref/internal/cache"
@@ -64,6 +65,9 @@ func decodeSize(sel byte, direct, def int) int {
 	return max(1, def<<((int(sel)+2)%4)>>2)
 }
 
+// drawPrefetchers are the prefetchers decodeConfig draws from.
+var drawPrefetchers = []string{"none", "berti", "bingo", "ip-stride", "ipcp", "spp-ppf"}
+
 // decodeConfig is the one config decoder of FuzzConfig and
 // TestEngineDifferential: it maps arbitrary bytes to a draw over trace
 // class, workload seed, lengths, SMT, prefetcher, mode, security, SUF,
@@ -73,7 +77,6 @@ func decodeConfig(data []byte) configDraw {
 	in := make([]byte, configBytes)
 	copy(in, data)
 	u16 := func(i int) int { return int(in[i]) | int(in[i+1])<<8 }
-	prefetchers := []string{"none", "berti", "bingo", "ip-stride", "ipcp", "spp-ppf"}
 
 	d := configDraw{cfg: DefaultConfig()}
 	d.traces = []string{shapeTraces[int(in[0])%len(shapeTraces)]}
@@ -85,7 +88,7 @@ func decodeConfig(data []byte) configDraw {
 	cfg := &d.cfg
 	cfg.WarmupInstrs = u16(7) % 1500
 	cfg.MaxInstrs = 3000 + u16(9)%3000
-	cfg.Prefetcher = prefetchers[int(in[11])%len(prefetchers)]
+	cfg.Prefetcher = drawPrefetchers[int(in[11])%len(drawPrefetchers)]
 	cfg.Mode = Mode(in[12] % 3)
 	cfg.Secure = in[13]%2 == 1
 	cfg.SUF = in[14]%2 == 1
@@ -140,12 +143,21 @@ func corpusEntry(data []byte) string {
 
 // configSeed encodes the secure TSB+SUF Berti system on one mcf thread
 // (100 warmup and 3000 measured instructions) with mut applied to its
-// sizes.
+// prefetcher, mode, security switches and sizes. A prefetcher name the
+// decoder cannot draw, such as "", encodes as "none".
 func configSeed(mut func(*Config)) []byte {
 	data := make([]byte, configBytes)
-	data[7], data[11], data[12], data[13], data[14] = 100, 1, byte(ModeTimelySecure), 1, 1
 	def, want := DefaultConfig(), DefaultConfig()
+	want.Prefetcher, want.Mode, want.Secure, want.SUF = "berti", ModeTimelySecure, true, true
 	mut(&want)
+	data[7], data[12] = 100, byte(want.Mode)
+	data[11] = byte(max(0, slices.Index(drawPrefetchers, want.Prefetcher)))
+	if want.Secure {
+		data[13] = 1
+	}
+	if want.SUF {
+		data[14] = 1
+	}
 	wantSizes := sizeFields(&want)
 	for i, f := range sizeFields(&def) {
 		k, size := headerBytes+sizeBytes*i, *wantSizes[i]
@@ -167,7 +179,8 @@ func configSeed(mut func(*Config)) []byte {
 
 // invalidConfigs are configurations Validate must reject, as changes
 // to the secure TSB+SUF Berti system (obsConfig): each one passed
-// Validate once and then panicked or could not finish.
+// Validate once and then panicked or could not finish, except the last,
+// a contradiction Validate rejected only when spelled "none".
 var invalidConfigs = []struct {
 	name string
 	mut  func(*Config)
@@ -214,6 +227,7 @@ var invalidConfigs = []struct {
 	{"zero LLC reads per cycle", func(c *Config) { c.LLC.MaxReads = 0 }},
 	{"zero LLC writes per cycle", func(c *Config) { c.LLC.MaxWrites = 0 }},
 	{"zero LLC fills per cycle", func(c *Config) { c.LLC.MaxFills = 0 }},
+	{"commit-time mode, non-secure, prefetcher \"\"", func(c *Config) { c.Secure, c.SUF, c.Prefetcher = false, false, "" }},
 }
 
 // FuzzConfig decodes arbitrary bytes into a configuration

@@ -87,17 +87,17 @@ func (m *Machine) StateDigests(dst []uint64) []uint64 {
 // nothing is due integrates one idle cycle per rank, which is exactly
 // what lockstep stepping does there. The zero value is unarmed.
 type DigestStream struct {
-	sink  observatory.DigestSink
+	sink  *observatory.Recorder
 	every mem.Cycle
 	next  mem.Cycle
 	buf   []uint64
 }
 
 // Arm starts the stream at cycle zero with interval every (zero means
-// DefaultDigestEvery). A Recorder sink is stamped with the engine
-// version, the interval and the vector's component names. A nil sink
-// leaves the stream unarmed.
-func (s *DigestStream) Arm(sink observatory.DigestSink, every mem.Cycle, names []string) {
+// DefaultDigestEvery) and stamps the sink with the engine version, the
+// interval and the vector's component names. A nil sink leaves the
+// stream unarmed.
+func (s *DigestStream) Arm(sink *observatory.Recorder, every mem.Cycle, names []string) {
 	if sink == nil {
 		return
 	}
@@ -105,11 +105,9 @@ func (s *DigestStream) Arm(sink observatory.DigestSink, every mem.Cycle, names [
 		every = DefaultDigestEvery
 	}
 	*s = DigestStream{sink: sink, every: every, next: every}
-	if rec, ok := sink.(*observatory.Recorder); ok {
-		rec.EngineVersion = EngineVersion
-		rec.Interval = every
-		rec.Components = names
-	}
+	sink.EngineVersion = EngineVersion
+	sink.Interval = every
+	sink.Components = names
 }
 
 // Clamp lowers limit to the next digest boundary of an armed stream.

@@ -40,7 +40,7 @@ type Probes struct {
 	// Digest, if set, receives the per-component architectural-state
 	// digest vector every DigestEvery cycles, from cycle zero (warmup
 	// included, so streams from two engines are comparable end to end).
-	Digest observatory.DigestSink
+	Digest *observatory.Recorder
 	// DigestEvery is the digest interval in cycles; 0 means
 	// DefaultDigestEvery.
 	DigestEvery mem.Cycle

@@ -183,10 +183,10 @@ func (m *Machine) homeCache() *cache.Cache {
 }
 
 func (m *Machine) buildPrefetcher() error {
-	name := m.cfg.Prefetcher
-	if name == "" || name == "none" {
+	if !m.cfg.prefetching() {
 		return nil
 	}
+	name := m.cfg.Prefetcher
 	// The issuer routes into the home cache's prefetch queue and
 	// notifies the classifier of real issues. On the secure system,
 	// commit-time prefetches probe the GM first: a line whose data is
@@ -312,10 +312,7 @@ func (m *Machine) wireTraining() {
 			// GM hits never reach L1D, so the on-access trigger stream
 			// for L1D prefetchers also includes them (hits trigger
 			// issuing but do not insert history).
-			m.gm.OnAccess = func(line mem.Line, ip mem.Addr, hit bool, cycle mem.Cycle, ts uint64) {
-				if !hit {
-					return // the miss trains via the L1D probe instead
-				}
+			m.gm.OnHit = func(line mem.Line, ip mem.Addr, cycle mem.Cycle, ts uint64) {
 				onAccess(cache.AccessInfo{Line: line, IP: ip, Kind: mem.KindLoad, Hit: true, Cycle: cycle, Timestamp: ts})
 			}
 		}
@@ -325,7 +322,7 @@ func (m *Machine) wireTraining() {
 
 	// Berti's fetch-latency observation (on-access mode and shadow).
 	if m.cfg.Secure && m.gm != nil {
-		m.gm.OnFill = func(line mem.Line, _ mem.Level, lat mem.Cycle, _ mem.Cycle, ip mem.Addr, accessed mem.Cycle) {
+		m.gm.OnFill = func(line mem.Line, lat mem.Cycle, ip mem.Addr, accessed mem.Cycle) {
 			if m.cfg.Mode == ModeOnAccess && m.bertiPF != nil {
 				m.bertiPF.Observe(ip, line, accessed, lat)
 			}
@@ -467,24 +464,6 @@ func (m *Machine) commitTrain(ci cpu.CommitInfo) {
 		}
 		m.xlq.Release(ci.LQID)
 	}
-}
-
-// CoreDebug describes the core's ROB head (diagnostics).
-func (m *Machine) CoreDebug() string { return m.core.DebugHead() }
-
-// L1DDebug exposes the L1D cache (diagnostics).
-func (m *Machine) L1DDebug() *cache.Cache { return m.l1d }
-
-// L2Debug exposes the L2 cache (diagnostics).
-func (m *Machine) L2Debug() *cache.Cache { return m.l2 }
-
-// BertiDebug dumps the Berti delta tables when the configured
-// prefetcher is Berti (diagnostics).
-func (m *Machine) BertiDebug() []string {
-	if m.bertiPF == nil {
-		return nil
-	}
-	return m.bertiPF.DebugTable()
 }
 
 // resetStats zeroes every counter block (end of warmup).

@@ -46,6 +46,7 @@ func TestIdleSkipEquivalence(t *testing.T) {
 			c.Mode = ModeTimelySecure
 		}},
 		{"nonsecure-ipstride", func(c *Config) { c.Prefetcher = "ip-stride" }},
+		{"nonsecure-berti", func(c *Config) { c.Prefetcher = "berti" }},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

@@ -34,17 +34,20 @@ func TestSmokeAllConfigs(t *testing.T) {
 			c.Prefetcher = "berti"
 			c.Mode = ModeTimelySecure
 		}},
+		{"secure-berti-ts", func(c *Config) { c.Secure = true; c.Prefetcher = "berti"; c.Mode = ModeTimelySecure }},
 		{"secure-ipstride-ts", func(c *Config) {
 			c.Secure = true
 			c.Prefetcher = "ip-stride"
 			c.Mode = ModeTimelySecure
 		}},
+		{"secure-ipstride-oncommit", func(c *Config) { c.Secure = true; c.Prefetcher = "ip-stride"; c.Mode = ModeOnCommit }},
 		{"secure-ipcp-oncommit-classify", func(c *Config) {
 			c.Secure = true
 			c.Prefetcher = "ipcp"
 			c.Mode = ModeOnCommit
 			c.Classify = true
 		}},
+		{"nonsecure-bingo", func(c *Config) { c.Prefetcher = "bingo" }},
 		{"secure-bingo-oncommit", func(c *Config) { c.Secure = true; c.Prefetcher = "bingo"; c.Mode = ModeOnCommit }},
 		{"secure-spp-oncommit", func(c *Config) { c.Secure = true; c.Prefetcher = "spp-ppf"; c.Mode = ModeOnCommit }},
 	} {

@@ -4,9 +4,9 @@
 // the instruction pointer, at most one data-load and one data-store
 // address, and branch direction information.
 //
-// Traces can be held in memory (the workload generators produce them
-// directly) or streamed from a compact binary encoding written by
-// Writer and read by Reader.
+// Traces are held in memory: the workload generators produce them
+// directly, and Read decodes a whole file written by Write in a
+// compact binary encoding (binary.go).
 package trace
 
 import (
@@ -50,50 +50,24 @@ type Trace struct {
 // Len returns the number of instructions.
 func (t *Trace) Len() int { return len(t.Instrs) }
 
-// Source yields instructions in program order. It abstracts in-memory
-// traces and streamed binary traces behind one interface; Next returns
-// ok=false at end of trace.
+// Source yields instructions in program order. ReadBatch decodes up
+// to len(dst) instructions into the caller's reusable buffer and
+// returns how many it wrote, 0 meaning end of trace: the core's
+// dispatch stage refills a buffer per call rather than paying an
+// interface call (and, for wrapped sources, a whole call chain) per
+// instruction.
 type Source interface {
 	// Name identifies the trace.
 	Name() string
-	// Next returns the next instruction in program order.
-	Next() (in Instr, ok bool)
+	// ReadBatch decodes the next instructions into dst.
+	ReadBatch(dst []Instr) int
 	// Reset rewinds to the beginning of the trace.
 	Reset()
 }
 
-// BatchSource is an optional Source extension for bulk decode. The
-// core's dispatch stage fetches instructions one at a time; paying an
-// interface call (and, for wrapped sources, a whole call chain) per
-// instruction is measurable at simulator speeds. ReadBatch amortizes
-// that: it decodes up to len(dst) instructions into the caller's
-// reusable buffer and returns how many it wrote, 0 meaning end of
-// trace. Interleaving ReadBatch with Next is allowed — both consume
-// from the same cursor — and Reset rewinds both.
-//
-// All sources in this package implement BatchSource, including the
-// Offset and Repeat wrappers (which batch through to the underlying
-// source when it supports it).
-type BatchSource interface {
-	Source
-	ReadBatch(dst []Instr) int
-}
-
-// readBatch fills dst from src, using ReadBatch when available and
-// falling back to one-at-a-time Next calls.
-func readBatch(src Source, dst []Instr) int {
-	if b, ok := src.(BatchSource); ok {
-		return b.ReadBatch(dst)
-	}
-	for i := range dst {
-		in, ok := src.Next()
-		if !ok {
-			return i
-		}
-		dst[i] = in
-	}
-	return len(dst)
-}
+// BatchSource is another name for Source, kept for the benchmark
+// module (perfbench), which still uses it.
+type BatchSource = Source
 
 // sliceSource adapts an in-memory Trace to Source.
 type sliceSource struct {
@@ -105,15 +79,6 @@ type sliceSource struct {
 func NewSource(t *Trace) Source { return &sliceSource{t: t} }
 
 func (s *sliceSource) Name() string { return s.t.Name }
-
-func (s *sliceSource) Next() (Instr, bool) {
-	if s.pos >= len(s.t.Instrs) {
-		return Instr{}, false
-	}
-	in := s.t.Instrs[s.pos]
-	s.pos++
-	return in, true
-}
 
 func (s *sliceSource) ReadBatch(dst []Instr) int {
 	n := copy(dst, s.t.Instrs[s.pos:])
@@ -137,22 +102,8 @@ type offsetSource struct {
 
 func (o *offsetSource) Name() string { return o.src.Name() }
 
-func (o *offsetSource) Next() (Instr, bool) {
-	in, ok := o.src.Next()
-	if !ok {
-		return Instr{}, false
-	}
-	if in.Load != 0 {
-		in.Load += o.delta
-	}
-	if in.Store != 0 {
-		in.Store += o.delta
-	}
-	return in, true
-}
-
 func (o *offsetSource) ReadBatch(dst []Instr) int {
-	n := readBatch(o.src, dst)
+	n := o.src.ReadBatch(dst)
 	for i := range dst[:n] {
 		if dst[i].Load != 0 {
 			dst[i].Load += o.delta
@@ -181,22 +132,6 @@ type repeatSource struct {
 
 func (r *repeatSource) Name() string { return r.src.Name() }
 
-func (r *repeatSource) Next() (Instr, bool) {
-	if r.count >= r.limit {
-		return Instr{}, false
-	}
-	in, ok := r.src.Next()
-	if !ok {
-		r.src.Reset()
-		in, ok = r.src.Next()
-		if !ok {
-			return Instr{}, false // empty underlying trace
-		}
-	}
-	r.count++
-	return in, true
-}
-
 func (r *repeatSource) ReadBatch(dst []Instr) int {
 	if rem := r.limit - r.count; rem <= 0 {
 		return 0
@@ -205,10 +140,10 @@ func (r *repeatSource) ReadBatch(dst []Instr) int {
 	}
 	total := 0
 	for total < len(dst) {
-		n := readBatch(r.src, dst[total:])
+		n := r.src.ReadBatch(dst[total:])
 		if n == 0 {
 			r.src.Reset()
-			n = readBatch(r.src, dst[total:])
+			n = r.src.ReadBatch(dst[total:])
 			if n == 0 {
 				break // empty underlying trace
 			}
@@ -232,12 +167,12 @@ var ErrEmptySource = errors.New("trace: source yields no instructions")
 
 // NonEmpty verifies that src yields at least one instruction, returning
 // ErrEmptySource (wrapped with the trace name) if it does not. The
-// probe consumes one instruction and then rewinds the source, so the
+// probe reads one instruction and then rewinds the source, so the
 // caller observes it from the beginning. Returning src itself (rather
-// than a replay wrapper) keeps the per-instruction fetch free of an
+// than a replay wrapper) keeps the dispatch stage's refills free of an
 // extra indirection on the simulator's hot path.
 func NonEmpty(src Source) (Source, error) {
-	if _, ok := src.Next(); !ok {
+	if src.ReadBatch(make([]Instr, 1)) == 0 {
 		return nil, fmt.Errorf("%w (trace %q)", ErrEmptySource, src.Name())
 	}
 	src.Reset()
