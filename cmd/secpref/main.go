@@ -146,7 +146,7 @@ func main() {
 	ap := res.L1DAPKI()
 	fmt.Printf("L1D APKI:         load=%.1f prefetch=%.1f commit=%.1f\n", ap.Load, ap.Prefetch, ap.Commit)
 	fmt.Printf("branch mispred:   %.2f%%\n", res.Core.MispredictRate()*100)
-	if cfg.Prefetcher != "none" {
+	if !prefetch.IsNone(cfg.Prefetcher) {
 		home := prefetch.HomeOf(cfg.Prefetcher)
 		fmt.Printf("pref accuracy:    %.1f%% (at %s)\n", res.PrefAccuracy(home)*100, home)
 	}

@@ -22,6 +22,7 @@ import (
 
 	"secpref/internal/cpu"
 	"secpref/internal/mem"
+	"secpref/internal/prefetch"
 	"secpref/internal/probe"
 	"secpref/internal/sim"
 )
@@ -44,9 +45,6 @@ type Config struct {
 	Obs probe.Observer
 }
 
-// prefetching reports whether cfg names a prefetcher.
-func (cfg Config) prefetching() bool { return cfg.Prefetcher != "" && cfg.Prefetcher != "none" }
-
 // System is a machine under attack-harness control.
 type System struct {
 	m   *sim.Machine
@@ -59,7 +57,7 @@ type System struct {
 func NewSystem(cfg Config) (*System, error) {
 	sc := sim.DefaultConfig()
 	sc.Secure, sc.Prefetcher = cfg.Secure, cfg.Prefetcher
-	if cfg.OnCommitPrefetch && cfg.prefetching() {
+	if cfg.OnCommitPrefetch && !prefetch.IsNone(cfg.Prefetcher) {
 		sc.Mode = sim.ModeOnCommit
 	}
 	m, err := sim.NewDriven(sc, cfg.Obs)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"secpref/internal/mem"
+	"secpref/internal/prefetch"
 )
 
 // Outcome reports one attack attempt.
@@ -78,7 +79,7 @@ func SpectrePrefetchLeak(cfg Config, secret int) (Outcome, error) {
 	if secret < 0 || secret >= len(CandidateStrides) {
 		return Outcome{}, fmt.Errorf("attack: secret %d out of range [0,%d)", secret, len(CandidateStrides))
 	}
-	if !cfg.prefetching() {
+	if prefetch.IsNone(cfg.Prefetcher) {
 		return Outcome{}, fmt.Errorf("attack: prefetch leak needs a prefetcher")
 	}
 	s, err := NewSystem(cfg)

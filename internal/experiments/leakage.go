@@ -8,6 +8,7 @@ import (
 	"secpref/internal/export"
 	"secpref/internal/leakage"
 	"secpref/internal/observatory"
+	"secpref/internal/prefetch"
 	"secpref/internal/sim"
 )
 
@@ -81,7 +82,7 @@ func (r *Runner) LeakageAudit() (*Table, error) {
 // the direct cache channel and, when pf names a prefetcher, the
 // prefetcher-training channel.
 func attackRow(variant string, cfg attack.Config, pf string) ([]string, error) {
-	if pf != "none" {
+	if !prefetch.IsNone(pf) {
 		cfg.Prefetcher = pf
 	}
 	direct, err := attack.MeasureChannel(cfg, attack.ChannelCache, 0)
@@ -91,7 +92,7 @@ func attackRow(variant string, cfg attack.Config, pf string) ([]string, error) {
 	tainted := direct.Audit.TaintedSurvivors
 	trains := direct.Audit.SpecTrains
 	pfBits, pfSep := "-", "-"
-	if pf != "none" {
+	if !prefetch.IsNone(pf) {
 		pc, err := attack.MeasureChannel(cfg, attack.ChannelPrefetch, 0)
 		if err != nil {
 			return nil, err

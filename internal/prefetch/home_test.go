@@ -44,3 +44,14 @@ func TestHomeOfMatchesHome(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestIsNone: "" and "none" both select no prefetcher; a registered
+// name and an unregistered one both name a prefetcher (building the
+// unregistered one is what fails).
+func TestIsNone(t *testing.T) {
+	for name, want := range map[string]bool{"": true, "none": true, "berti": false, "no-such-prefetcher": false} {
+		if got := prefetch.IsNone(name); got != want {
+			t.Errorf("IsNone(%q) = %v, want %v", name, got, want)
+		}
+	}
+}

@@ -124,6 +124,10 @@ func Names() []string {
 	return out
 }
 
+// IsNone reports whether name selects no prefetcher: "" and None's
+// name both do.
+func IsNone(name string) bool { return name == "" || name == None{}.Name() }
+
 // None is the no-prefetching placeholder.
 type None struct{}
 

@@ -13,6 +13,7 @@ import (
 	"secpref/internal/dram"
 	"secpref/internal/ghostminion"
 	"secpref/internal/mem"
+	"secpref/internal/prefetch"
 	"secpref/internal/tlb"
 )
 
@@ -120,10 +121,6 @@ func (c Config) CycleBudget() mem.Cycle {
 	return mem.Cycle(2000 * (c.WarmupInstrs + c.MaxInstrs))
 }
 
-// prefetching reports whether the configuration names a prefetcher;
-// "" and "none" both spell no prefetcher.
-func (c Config) prefetching() bool { return c.Prefetcher != "" && c.Prefetcher != "none" }
-
 // Validate reports configuration contradictions and sizes the model
 // cannot run: each rejected size either panics at build time or wedges
 // the run.
@@ -131,7 +128,7 @@ func (c Config) Validate() error {
 	if c.SUF && !c.Secure {
 		return fmt.Errorf("sim: SUF requires the secure cache system")
 	}
-	if c.Mode != ModeOnAccess && !c.Secure && !c.prefetching() {
+	if c.Mode != ModeOnAccess && !c.Secure && prefetch.IsNone(c.Prefetcher) {
 		return fmt.Errorf("sim: commit-time modes need a prefetcher or a secure system")
 	}
 	if c.MaxInstrs <= 0 {
@@ -226,7 +223,7 @@ func (c Config) Label() string {
 			sys = "secure+SUF"
 		}
 	}
-	if !c.prefetching() {
+	if prefetch.IsNone(c.Prefetcher) {
 		return fmt.Sprintf("no-pref/%s", sys)
 	}
 	return fmt.Sprintf("%s/%s/%s", c.Prefetcher, c.Mode, sys)

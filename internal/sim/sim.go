@@ -183,7 +183,7 @@ func (m *Machine) homeCache() *cache.Cache {
 }
 
 func (m *Machine) buildPrefetcher() error {
-	if !m.cfg.prefetching() {
+	if prefetch.IsNone(m.cfg.Prefetcher) {
 		return nil
 	}
 	name := m.cfg.Prefetcher
