@@ -34,7 +34,7 @@ func BenchmarkComponentCoreIssueRetire(b *testing.B) {
 		store := &sinkStore{}
 		tr := &trace.Trace{Name: "bench"}
 		for i := 0; i < benchInstrs; i++ {
-			tr.Instrs = append(tr.Instrs, mk(i))
+			tr.Append(mk(i))
 		}
 		c := New(DefaultConfig(), trace.NewSource(tr), port, store)
 		now := mem.Cycle(0)

@@ -80,7 +80,7 @@ func robHead(c *Core) string {
 func seqTrace(n int, mk func(i int) trace.Instr) trace.Source {
 	tr := &trace.Trace{Name: "t"}
 	for i := 0; i < n; i++ {
-		tr.Instrs = append(tr.Instrs, mk(i))
+		tr.Append(mk(i))
 	}
 	return trace.NewSource(tr)
 }

@@ -13,7 +13,8 @@ import (
 func TestFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.trace")
-	orig := &Trace{Name: "file-roundtrip", Instrs: genInstrs(rand.New(rand.NewSource(9)), 5000)}
+	ins := genInstrs(rand.New(rand.NewSource(9)), 5000)
+	orig := newTrace("file-roundtrip", ins)
 
 	f, err := os.Create(path)
 	if err != nil {
@@ -35,7 +36,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != orig.Name || !reflect.DeepEqual(got.Instrs, orig.Instrs) {
+	if got.Name != orig.Name || !reflect.DeepEqual(readAll(NewSource(got), 256), ins) {
 		t.Fatal("file round trip mismatch")
 	}
 }
@@ -44,7 +45,7 @@ func TestEncodingIsCompact(t *testing.T) {
 	// Non-memory instructions should cost ~2 bytes (flags + ip delta).
 	tr := &Trace{Name: "compact"}
 	for i := 0; i < 10_000; i++ {
-		tr.Instrs = append(tr.Instrs, Instr{IP: mem.Addr(0x400000 + mem4(i))})
+		tr.Append(Instr{IP: mem.Addr(0x400000 + mem4(i))})
 	}
 	var n countingWriter
 	if err := Write(&n, tr); err != nil {

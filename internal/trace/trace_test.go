@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -36,11 +37,21 @@ func genInstrs(rng *rand.Rand, n int) []Instr {
 	return out
 }
 
+// newTrace builds a trace of ins with Append.
+func newTrace(name string, ins []Instr) *Trace {
+	t := &Trace{Name: name}
+	for _, in := range ins {
+		t.Append(in)
+	}
+	return t
+}
+
 func TestBinaryRoundTrip(t *testing.T) {
 	f := func(seed int64, nRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw % 500)
-		orig := &Trace{Name: "t", Instrs: genInstrs(rng, n)}
+		ins := genInstrs(rng, n)
+		orig := newTrace("t", ins)
 		var buf bytes.Buffer
 		if err := Write(&buf, orig); err != nil {
 			t.Logf("write: %v", err)
@@ -51,7 +62,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 			t.Logf("read: %v", err)
 			return false
 		}
-		return got.Name == orig.Name && reflect.DeepEqual(got.Instrs, orig.Instrs)
+		return got.Name == orig.Name && got.Len() == n && slices.Equal(readAll(NewSource(got), 7), ins)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -65,7 +76,7 @@ func TestReadRejectsBadMagic(t *testing.T) {
 }
 
 func TestReadRejectsTruncated(t *testing.T) {
-	orig := &Trace{Name: "x", Instrs: genInstrs(rand.New(rand.NewSource(1)), 100)}
+	orig := newTrace("x", genInstrs(rand.New(rand.NewSource(1)), 100))
 	var buf bytes.Buffer
 	if err := Write(&buf, orig); err != nil {
 		t.Fatal(err)
@@ -74,6 +85,26 @@ func TestReadRejectsTruncated(t *testing.T) {
 	for _, cut := range []int{5, 9, 12, len(raw) / 2, len(raw) - 1} {
 		if _, err := Read(bytes.NewReader(raw[:cut])); err == nil {
 			t.Errorf("expected error for truncation at %d", cut)
+		}
+	}
+}
+
+// TestReadRejectsCountMismatch: the header's count must match the
+// records present, neither more nor fewer.
+func TestReadRejectsCountMismatch(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, newTrace("x", genInstrs(rand.New(rand.NewSource(1)), 100))); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	countAt := len(magic) + 2 + len("x")
+	more := slices.Clone(raw)
+	more[countAt]++ // one record more than present
+	fewer := slices.Clone(raw)
+	fewer[countAt]-- // one record fewer: the last one is left over
+	for name, data := range map[string][]byte{"count+1": more, "count-1": fewer, "trailing byte": append(slices.Clone(raw), 0)} {
+		if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("%s: err = %v, want ErrBadTrace", name, err)
 		}
 	}
 }
@@ -92,32 +123,33 @@ func readAll(src Source, n int) []Instr {
 }
 
 func TestSourceIteration(t *testing.T) {
-	tr := &Trace{Name: "s", Instrs: genInstrs(rand.New(rand.NewSource(2)), 10)}
+	ins := genInstrs(rand.New(rand.NewSource(2)), 10)
+	tr := newTrace("s", ins)
 	src := NewSource(tr)
 	if src.Name() != "s" {
 		t.Errorf("name %q", src.Name())
 	}
-	if got := readAll(src, 3); !reflect.DeepEqual(got, tr.Instrs) {
+	if got := readAll(src, 3); !reflect.DeepEqual(got, ins) {
 		t.Fatal("iteration mismatch")
 	}
 	if n := src.ReadBatch(make([]Instr, 1)); n != 0 {
 		t.Fatalf("ReadBatch after end returned %d", n)
 	}
 	src.Reset()
-	if got := readAll(src, 4); !reflect.DeepEqual(got, tr.Instrs) {
+	if got := readAll(src, 4); !reflect.DeepEqual(got, ins) {
 		t.Fatal("Reset did not rewind")
 	}
 }
 
 func TestRepeatWrapsAndBounds(t *testing.T) {
-	tr := &Trace{Name: "r", Instrs: genInstrs(rand.New(rand.NewSource(3)), 7)}
-	src := Repeat(NewSource(tr), 20)
+	ins := genInstrs(rand.New(rand.NewSource(3)), 7)
+	src := Repeat(NewSource(newTrace("r", ins)), 20)
 	got := readAll(src, 5)
 	if len(got) != 20 {
 		t.Fatalf("Repeat yielded %d instructions, want 20", len(got))
 	}
 	for i, in := range got {
-		if in != tr.Instrs[i%7] {
+		if in != ins[i%7] {
 			t.Fatalf("instruction %d mismatch", i)
 		}
 	}
@@ -135,11 +167,11 @@ func TestRepeatEmptyUnderlying(t *testing.T) {
 }
 
 func TestOffsetRelocatesDataOnly(t *testing.T) {
-	tr := &Trace{Name: "o", Instrs: []Instr{
+	tr := newTrace("o", []Instr{
 		{IP: 0x400, Load: 0x1000},
 		{IP: 0x404, Store: 0x2000},
 		{IP: 0x408, Branch: true, Taken: true},
-	}}
+	})
 	got := readAll(Offset(NewSource(tr), 0x10_0000), 8)
 	if len(got) != 3 {
 		t.Fatalf("Offset yielded %d instructions, want 3", len(got))
@@ -164,10 +196,11 @@ func TestReadBatch(t *testing.T) {
 		n      = 263
 		delta  = mem.Addr(0x40_0000)
 	)
-	tr := &Trace{Name: "b", Instrs: genInstrs(rand.New(rand.NewSource(4)), length)}
+	ins := genInstrs(rand.New(rand.NewSource(4)), length)
+	tr := newTrace("b", ins)
 	want := make([]Instr, n)
 	for i := range want {
-		in := tr.Instrs[i%length]
+		in := ins[i%length]
 		if in.Load != 0 {
 			in.Load += delta
 		}
@@ -205,12 +238,12 @@ func TestNonEmpty(t *testing.T) {
 	if _, err := NonEmpty(NewSource(&Trace{Name: "empty"})); !errors.Is(err, ErrEmptySource) {
 		t.Errorf("empty source: err = %v, want ErrEmptySource", err)
 	}
-	one := &Trace{Name: "one", Instrs: []Instr{{IP: 0x400, Load: 0x1000}}}
-	src, err := NonEmpty(NewSource(one))
+	one := []Instr{{IP: 0x400, Load: 0x1000}}
+	src, err := NonEmpty(NewSource(newTrace("one", one)))
 	if err != nil {
 		t.Fatalf("one-instruction source: %v", err)
 	}
-	if got := readAll(src, 4); !reflect.DeepEqual(got, one.Instrs) {
-		t.Errorf("after the probe the source yields %+v, want %+v", got, one.Instrs)
+	if got := readAll(src, 4); !reflect.DeepEqual(got, one) {
+		t.Errorf("after the probe the source yields %+v, want %+v", got, one)
 	}
 }

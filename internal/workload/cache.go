@@ -6,6 +6,43 @@ import (
 	"secpref/internal/trace"
 )
 
+// onceMap memoizes one value per key. The first caller of a key builds
+// its value under the key's own sync.Once, outside the map's lock, so
+// distinct keys build at the same time while concurrent callers of one
+// key wait for its single build.
+type onceMap[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*onceEntry[V]
+}
+
+type onceEntry[V any] struct {
+	once sync.Once
+	v    V
+}
+
+func (c *onceMap[K, V]) get(key K, build func() V) V {
+	c.mu.Lock()
+	e, ok := c.m[key]
+	if !ok {
+		if c.m == nil {
+			c.m = make(map[K]*onceEntry[V])
+		}
+		e = &onceEntry[V]{}
+		c.m[key] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.v = build() })
+	return e.v
+}
+
+// reset drops every entry; a build in flight still completes for the
+// callers already waiting on it.
+func (c *onceMap[K, V]) reset() {
+	c.mu.Lock()
+	c.m = nil
+	c.mu.Unlock()
+}
+
 // The experiment harness simulates every trace under many
 // configurations (secure/non-secure × prefetcher × mode), so generated
 // traces are memoized by (name, params).
@@ -15,36 +52,16 @@ type cacheKey struct {
 	p    Params
 }
 
-var (
-	traceMu    sync.Mutex
-	traceCache = map[cacheKey]*trace.Trace{}
-)
+var traces onceMap[cacheKey, *trace.Trace]
 
 // Get returns the (memoized) trace for a registered generator name.
 func Get(name string, p Params) (*trace.Trace, error) {
-	key := cacheKey{name, p}
-	traceMu.Lock()
-	if t, ok := traceCache[key]; ok {
-		traceMu.Unlock()
-		return t, nil
-	}
-	traceMu.Unlock()
 	g, err := ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	// Generate outside the lock: generation can take a while and
-	// callers ask for distinct traces concurrently.
-	t := g.Gen(p)
-	traceMu.Lock()
-	traceCache[key] = t
-	traceMu.Unlock()
-	return t, nil
+	return traces.get(cacheKey{name, p}, func() *trace.Trace { return g.Gen(p) }), nil
 }
 
 // Evict clears the trace cache (tests use it to bound memory).
-func Evict() {
-	traceMu.Lock()
-	traceCache = map[cacheKey]*trace.Trace{}
-	traceMu.Unlock()
-}
+func Evict() { traces.reset() }

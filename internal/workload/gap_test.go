@@ -21,7 +21,7 @@ func TestGAPAddressStreamStructure(t *testing.T) {
 	}
 	tr := g.Gen(Params{Instrs: 8000, Seed: 1})
 	counts := map[int]int{}
-	for _, in := range tr.Instrs {
+	for _, in := range instrs(tr) {
 		if in.Load != 0 {
 			counts[regionOfAddr(in.Load)]++
 		}
@@ -48,7 +48,7 @@ func TestGAPPropertyLoadsAreDependent(t *testing.T) {
 	}
 	tr := g.Gen(Params{Instrs: 8000, Seed: 1})
 	dep, total := 0, 0
-	for _, in := range tr.Instrs {
+	for _, in := range instrs(tr) {
 		if in.Load != 0 && regionOfAddr(in.Load) == 2 {
 			total++
 			if in.Dep {
@@ -72,7 +72,7 @@ func TestGAPNeighborStreamIsSequential(t *testing.T) {
 	tr := g.Gen(Params{Instrs: 8000, Seed: 1})
 	var last mem.Addr
 	seq, runs := 0, 0
-	for _, in := range tr.Instrs {
+	for _, in := range instrs(tr) {
 		if in.Load == 0 || regionOfAddr(in.Load) != 1 {
 			continue
 		}

@@ -2,8 +2,7 @@ package workload
 
 import (
 	"math/rand"
-	"sort"
-	"sync"
+	"slices"
 )
 
 // Graph is a directed graph in CSR (compressed sparse row) form, the
@@ -37,11 +36,50 @@ type graphCfg struct {
 // character of the GAP input graphs. Endpoint choice squares a uniform
 // variate so low-numbered vertices act as hubs. Neighbor lists are
 // sorted and deduplicated, as GAP's builder produces.
+//
+// The graph is built straight into CSR by drawing the seeded edge
+// stream twice: the first pass counts out-degrees into Offsets, the
+// second scatters neighbors into one Neighbors array, and each vertex's
+// segment is then sorted and deduplicated in place.
 func NewSkewedGraph(n, deg int, seed int64) *Graph {
+	off := make([]int32, n+1)
+	skewedEdges(n, deg, seed, func(u, _ int32) { off[u+1]++ })
+	for u := 1; u <= n; u++ {
+		off[u] += off[u-1]
+	}
+	// off[u] is u's start; the scatter advances it to u's end.
+	nb := make([]int32, off[n])
+	skewedEdges(n, deg, seed, func(u, v int32) {
+		nb[off[u]] = v
+		off[u]++
+	})
+	// Compact the sorted, deduplicated segments to the left, rewriting
+	// off[u] from u's end to its new start.
+	w, lo := int32(0), int32(0)
+	for u := 0; u < n; u++ {
+		seg := nb[lo:off[u]]
+		lo = off[u]
+		slices.Sort(seg)
+		off[u] = w
+		prev := int32(-1)
+		for _, v := range seg {
+			if v != prev {
+				nb[w] = v
+				w++
+				prev = v
+			}
+		}
+	}
+	off[n] = w
+	return &Graph{N: n, Offsets: off, Neighbors: nb[:w]}
+}
+
+// skewedEdges calls edge for each edge of NewSkewedGraph's graph in the
+// order its seeded stream draws them: duplicates included, self-loops
+// drawn and left out.
+func skewedEdges(n, deg int, seed int64, edge func(u, v int32)) {
 	rng := rand.New(rand.NewSource(seed))
-	adj := make([][]int32, n)
-	edges := n * deg
-	for i := 0; i < edges; i++ {
+	for i := 0; i < n*deg; i++ {
 		u := int32(rng.Intn(n))
 		// Skewed target: squaring biases toward 0, creating hubs.
 		f := rng.Float64()
@@ -49,51 +87,17 @@ func NewSkewedGraph(n, deg int, seed int64) *Graph {
 		if v >= int32(n) {
 			v = int32(n - 1)
 		}
-		if u == v {
-			continue
+		if u != v {
+			edge(u, v)
 		}
-		adj[u] = append(adj[u], v)
 	}
-	g := &Graph{N: n, Offsets: make([]int32, n+1)}
-	total := 0
-	for u := range adj {
-		ns := adj[u]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-		// Deduplicate in place.
-		w := 0
-		for i, v := range ns {
-			if i == 0 || v != ns[i-1] {
-				ns[w] = v
-				w++
-			}
-		}
-		adj[u] = ns[:w]
-		total += w
-	}
-	g.Neighbors = make([]int32, 0, total)
-	for u := range adj {
-		g.Offsets[u] = int32(len(g.Neighbors))
-		g.Neighbors = append(g.Neighbors, adj[u]...)
-	}
-	g.Offsets[n] = int32(len(g.Neighbors))
-	return g
 }
 
 // Graph construction is the most expensive part of GAP trace
 // generation, and the experiment harness generates each trace under
 // many configurations, so graphs are memoized.
-var (
-	graphMu    sync.Mutex
-	graphCache = map[graphCfg]*Graph{}
-)
+var graphs onceMap[graphCfg, *Graph]
 
 func getGraph(cfg graphCfg) *Graph {
-	graphMu.Lock()
-	defer graphMu.Unlock()
-	if g, ok := graphCache[cfg]; ok {
-		return g
-	}
-	g := NewSkewedGraph(cfg.n, cfg.deg, cfg.seed)
-	graphCache[cfg] = g
-	return g
+	return graphs.get(cfg, func() *Graph { return NewSkewedGraph(cfg.n, cfg.deg, cfg.seed) })
 }

@@ -32,7 +32,7 @@ import (
 
 // depLoad emits a load whose address depends on the preceding load.
 func (e *emitter) depLoad(ip, addr mem.Addr) {
-	e.t.Instrs = append(e.t.Instrs, trace.Instr{IP: ip, Load: addr, Dep: true})
+	e.t.Append(trace.Instr{IP: ip, Load: addr, Dep: true})
 }
 
 // streamCfg parameterizes the stream family.

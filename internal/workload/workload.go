@@ -94,7 +94,7 @@ func Names() []string {
 	return out
 }
 
-// emitter accumulates instructions with a compact builder API. All
+// emitter appends instructions to a trace with a compact builder API. All
 // generators use it so that IP assignment and loop-branch emission are
 // uniform: every call site gets a stable IP, loads/stores carry that
 // IP, and loop back-edges are conditional branches with realistic
@@ -117,7 +117,7 @@ const (
 
 func newEmitter(name string, p Params) *emitter {
 	return &emitter{
-		t:      &trace.Trace{Name: name, Instrs: make([]trace.Instr, 0, p.Instrs+64)},
+		t:      &trace.Trace{Name: name},
 		limit:  p.Instrs,
 		rng:    rand.New(rand.NewSource(p.Seed)),
 		nextIP: codeBase,
@@ -135,29 +135,29 @@ func (e *emitter) ip() mem.Addr {
 }
 
 // full reports whether the instruction budget is exhausted.
-func (e *emitter) full() bool { return len(e.t.Instrs) >= e.limit }
+func (e *emitter) full() bool { return e.t.Len() >= e.limit }
 
 // exec emits n plain ALU instructions at IP ip (modelling loop-body
 // compute that separates memory accesses in time).
 func (e *emitter) exec(ip mem.Addr, n int) {
 	for i := 0; i < n; i++ {
-		e.t.Instrs = append(e.t.Instrs, trace.Instr{IP: ip + mem.Addr(i*4)})
+		e.t.Append(trace.Instr{IP: ip + mem.Addr(i*4)})
 	}
 }
 
 // load emits a data load of addr at IP ip.
 func (e *emitter) load(ip, addr mem.Addr) {
-	e.t.Instrs = append(e.t.Instrs, trace.Instr{IP: ip, Load: addr})
+	e.t.Append(trace.Instr{IP: ip, Load: addr})
 }
 
 // store emits a data store of addr at IP ip.
 func (e *emitter) store(ip, addr mem.Addr) {
-	e.t.Instrs = append(e.t.Instrs, trace.Instr{IP: ip, Store: addr})
+	e.t.Append(trace.Instr{IP: ip, Store: addr})
 }
 
 // branch emits a conditional branch with the given outcome.
 func (e *emitter) branch(ip mem.Addr, taken bool) {
-	e.t.Instrs = append(e.t.Instrs, trace.Instr{IP: ip, Branch: true, Taken: taken})
+	e.t.Append(trace.Instr{IP: ip, Branch: true, Taken: taken})
 }
 
 // done finalizes the trace.

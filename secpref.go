@@ -67,6 +67,9 @@ const (
 // Cycle is a simulation timestamp in core clock cycles.
 type Cycle = mem.Cycle
 
+// Addr is a byte address: an instruction pointer or a data address.
+type Addr = mem.Addr
+
 // WorkloadParams sizes trace generation.
 type WorkloadParams = workload.Params
 
@@ -103,8 +106,9 @@ func Run(cfg Config, traceName string, p WorkloadParams) (*Result, error) {
 	return sim.Run(cfg, trace.NewSource(tr))
 }
 
-// RunTrace simulates a caller-provided trace (e.g. one loaded with
-// LoadTrace) on the configured system.
+// RunTrace simulates a caller-provided trace (one built with
+// Trace.Append, or generated with GenerateTrace) on the configured
+// system.
 func RunTrace(cfg Config, t *Trace) (*Result, error) {
 	return sim.Run(cfg, trace.NewSource(t))
 }
@@ -131,8 +135,21 @@ func RunTraceProbed(cfg Config, t *Trace, pr Probes) (*Result, error) {
 	return sim.RunProbed(cfg, trace.NewSource(t), pr)
 }
 
-// Trace is an in-memory instruction trace.
+// Trace is an in-memory instruction trace, held in the compact record
+// encoding of trace files. Build one by appending its instructions in
+// program order:
+//
+//	t := &secpref.Trace{Name: "my-loop"}
+//	t.Append(secpref.Instr{IP: 0x400000, Load: 0x10000000})
+//	t.Append(secpref.Instr{IP: 0x400004, Branch: true, Taken: true})
+//
+// and simulate it with RunTrace.
 type Trace = trace.Trace
+
+// Instr is one retired instruction of a Trace: its instruction
+// pointer, at most one load and one store address (0 for none), and
+// branch and dependence flags.
+type Instr = trace.Instr
 
 // GenerateTrace builds the named synthetic workload trace.
 func GenerateTrace(name string, p WorkloadParams) (*Trace, error) {

@@ -89,6 +89,29 @@ func TestGenerateTraceAndRunTrace(t *testing.T) {
 	}
 }
 
+// TestBuildAndRunTrace builds a trace the way the Trace doc shows: a
+// strided load loop appended instruction by instruction.
+func TestBuildAndRunTrace(t *testing.T) {
+	tr := &secpref.Trace{Name: "strided-loop"}
+	for i := 0; i < 3000; i++ {
+		tr.Append(secpref.Instr{IP: 0x400000, Load: 0x1000_0000 + secpref.Addr(i)*64})
+		tr.Append(secpref.Instr{IP: 0x400004, Branch: true, Taken: i%100 != 99})
+	}
+	if tr.Len() != 6000 {
+		t.Fatalf("Len() = %d, want 6000", tr.Len())
+	}
+	cfg := secpref.DefaultConfig()
+	cfg.WarmupInstrs = 500
+	cfg.MaxInstrs = 5000
+	res, err := secpref.RunTrace(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TraceName != "strided-loop" || res.Instructions < 5000 {
+		t.Errorf("ran %d instructions of %q", res.Instructions, res.TraceName)
+	}
+}
+
 func TestRunMix(t *testing.T) {
 	cfg := secpref.DefaultConfig()
 	cfg.WarmupInstrs = 500
