@@ -71,17 +71,7 @@ func BenchmarkSUFAcc(b *testing.B) { benchExperiment(b, "suf-accuracy") }
 // second of the full secure system with TSB+SUF — the heaviest
 // single-core configuration.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	tr, err := workload.Get("602.gcc-1850B", workload.Params{Instrs: 50_000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sim.DefaultConfig()
-	cfg.WarmupInstrs = 0
-	cfg.MaxInstrs = 50_000
-	cfg.Secure = true
-	cfg.SUF = true
-	cfg.Prefetcher = "berti"
-	cfg.Mode = sim.ModeTimelySecure
+	cfg, tr := benchScenario(b)
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {

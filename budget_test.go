@@ -1,8 +1,9 @@
 package secpref_test
 
-// Deterministic engine budgets, on the scenarios and at the limits
-// cmd/bench gates: whole-run heap allocations of the single-core and
-// 4-core engines, and the flat attribution profile.
+// Deterministic engine budgets: whole-run heap allocations of the
+// single-core and 4-core engines, and the flat attribution profile.
+// The limits derive from the allocation counts the ev7-flat-profile
+// engine recorded on 2026-08-07.
 
 import (
 	"math"
@@ -17,14 +18,15 @@ import (
 	"secpref/internal/workload"
 )
 
-// benchScenario is cmd/bench's single-core scenario: the full secure
-// system (GhostMinion + TSB + SUF + Berti) over 50k instructions of
+// benchScenario is the single-core scenario the budgets and
+// BenchmarkSimulatorThroughput run: the full secure system
+// (GhostMinion + TSB + SUF + Berti) over 50k instructions of
 // 602.gcc-1850B.
-func benchScenario(t *testing.T) (sim.Config, *trace.Trace) {
-	t.Helper()
+func benchScenario(tb testing.TB) (sim.Config, *trace.Trace) {
+	tb.Helper()
 	tr, err := workload.Get("602.gcc-1850B", workload.Params{Instrs: 50_000, Seed: 1})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := sim.DefaultConfig()
 	cfg.WarmupInstrs = 0
@@ -36,12 +38,13 @@ func benchScenario(t *testing.T) (sim.Config, *trace.Trace) {
 	return cfg, tr
 }
 
-// allocBudget is cmd/bench's allocation limit: the recorded baseline
-// plus 50% plus 64 allocations of slack for background runtime work.
+// allocBudget is the allocation limit over a count recorded on
+// 2026-08-07 (ev7-flat-profile): the recorded count plus 50% plus 64
+// allocations of slack for background runtime work.
 func allocBudget(baseline float64) float64 { return baseline*1.5 + 64 }
 
 // fewestAllocs returns the fewest heap allocations any of three runs
-// made, each measured as cmd/bench measures it: the MemStats delta
+// made, each measured as the recorded counts were: the MemStats delta
 // around the run alone, after prepare has built its inputs.
 // testing.AllocsPerRun is no substitute: it pins GOMAXPROCS to 1, which
 // would run the parallel engine's cores inline.
@@ -81,10 +84,10 @@ func TestSingleCoreAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestMulticoreAllocationBudget runs cmd/bench's 4-core scenario (four
-// copies of 605.mcf-1554B, 10k instructions per core) on the lockstep
-// reference, the barrier-parallel engine, and the parallel engine with
-// every campaign observer attached.
+// TestMulticoreAllocationBudget runs the 4-core scenario (four copies
+// of 605.mcf-1554B, 2k warmup + 10k instructions per core) on the
+// lockstep reference, the barrier-parallel engine, and the parallel
+// engine with every campaign observer attached.
 func TestMulticoreAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")

@@ -7,17 +7,18 @@ import (
 
 	"secpref/internal/multicore"
 	"secpref/internal/observatory"
+	"secpref/internal/probe"
 	"secpref/internal/sim"
 )
 
 // pinMulticore is the pinned 4-core output digest: FNV-1a over the JSON
-// of {PerCore, Cycles, FinalDigests} from cmd/bench's -multicore
-// scenario (4 x 605.mcf-1554B, 2k warmup + 10k measured per core,
-// secure GhostMinion + SUF + timely-secure Berti). The Interference
-// field is left out: it postdates the pin and serializes as null when
-// unarmed, so cmd/bench, which hashes the whole Result, prints a
-// different value for the same run. docs/performance.md has the
-// details.
+// of {PerCore, Cycles, FinalDigests} of 4 x 605.mcf-1554B, 2k warmup +
+// 10k measured per core, secure GhostMinion + SUF + timely-secure
+// Berti, on the parallel engine, the lockstep reference and the
+// parallel engine with a campaign's observers attached. The
+// Interference field is left out: it postdates the pin, serializes as
+// null when unarmed, and carries the observed run's snapshot.
+// docs/performance.md has the details.
 const pinMulticore = "8ba482e5c11eef6e"
 
 func TestPinnedDigestMulticore(t *testing.T) {
@@ -29,8 +30,24 @@ func TestPinnedDigestMulticore(t *testing.T) {
 	cfg.Single.Prefetcher = "berti"
 	cfg.Single.Mode = sim.ModeTimelySecure
 	names := []string{"605.mcf-1554B", "605.mcf-1554B", "605.mcf-1554B", "605.mcf-1554B"}
-	for _, ref := range []bool{false, true} {
-		res, err := multicore.RunProbed(cfg, mixSources(t, names, 12_000), multicore.Probes{ReferenceEngine: ref})
+	windows := make([]probe.WindowObserver, len(names))
+	for i := range windows {
+		windows[i] = probe.NewIntervalSampler(16)
+	}
+	for _, run := range []struct {
+		name   string
+		probes multicore.Probes
+	}{
+		{"parallel", multicore.Probes{}},
+		{"lockstep", multicore.Probes{ReferenceEngine: true}},
+		{"observed", multicore.Probes{
+			Interference:   true,
+			Windows:        windows,
+			WindowInstrs:   1000,
+			SharedObserver: probe.NewTracer(32, 1<<13),
+		}},
+	} {
+		res, err := multicore.RunProbed(cfg, mixSources(t, names, 12_000), run.probes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +60,7 @@ func TestPinnedDigestMulticore(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := fmt.Sprintf("%016x", observatory.HashBytes(raw)); got != pinMulticore {
-			t.Errorf("reference=%v: 4-core output digest = %s, want %s", ref, got, pinMulticore)
+			t.Errorf("%s: 4-core output digest = %s, want %s", run.name, got, pinMulticore)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"secpref/internal/observatory"
+	"secpref/internal/probe"
 	"secpref/internal/trace"
 	"secpref/internal/workload"
 )
@@ -15,8 +16,9 @@ import (
 // them; an engine refactor must leave them alone. docs/performance.md
 // records how each one is computed.
 const (
-	// pinSingleCore is cmd/bench's single-core scenario: 602.gcc-1850B,
-	// 50k instructions, secure GhostMinion + SUF + timely-secure Berti.
+	// pinSingleCore is the Result of 602.gcc-1850B, 50k instructions,
+	// secure GhostMinion + SUF + timely-secure Berti, run plain and with
+	// a campaign's probes attached: probes must not move a counter.
 	pinSingleCore = "f46ca1ea9359064b"
 	// pinSMT is RunSMT's two results in TestSMTBothThreadsRetire's
 	// configuration.
@@ -44,12 +46,22 @@ func TestPinnedDigestSingleCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(cfg, trace.NewSource(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hashJSON(t, res); got != pinSingleCore {
-		t.Errorf("single-core output digest = %s, want %s", got, pinSingleCore)
+	for _, run := range []struct {
+		name   string
+		probes Probes
+	}{
+		{"plain", Probes{}},
+		// A campaign's attachments: every 32nd load traced into an 8Ki
+		// ring, one window sample per 1k instructions.
+		{"probed", Probes{Observer: probe.NewTracer(32, 1<<13), Window: probe.NewIntervalSampler(52)}},
+	} {
+		res, err := RunProbed(cfg, trace.NewSource(tr), run.probes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hashJSON(t, res); got != pinSingleCore {
+			t.Errorf("%s: single-core output digest = %s, want %s", run.name, got, pinSingleCore)
+		}
 	}
 }
 
