@@ -42,8 +42,9 @@ func TestDisableTLBSpeedsUp(t *testing.T) {
 	}
 }
 
-// TestLatenessThresholdConfig checks the threshold override plumbs
-// through to different adaptation behaviour.
+// TestLatenessThresholdConfig checks the threshold override reaches
+// the lateness monitor: on this run the paper's 0.14 never adapts, so
+// only an override that arrives makes the hair-trigger run adapt.
 func TestLatenessThresholdConfig(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -72,8 +73,8 @@ func TestLatenessThresholdConfig(t *testing.T) {
 	if lax.DistanceAdaptations != 0 {
 		t.Errorf("threshold 0.99 still adapted %d times", lax.DistanceAdaptations)
 	}
-	if strict.DistanceAdaptations < lax.DistanceAdaptations {
-		t.Error("stricter threshold adapted less")
+	if strict.DistanceAdaptations == 0 {
+		t.Error("threshold 0.001 never adapted")
 	}
 }
 
