@@ -28,6 +28,7 @@ import (
 	"secpref/internal/observatory"
 	"secpref/internal/prefetch"
 	"secpref/internal/probe"
+	"secpref/internal/sim"
 	"secpref/internal/trace"
 )
 
@@ -35,7 +36,7 @@ func main() {
 	var (
 		traceName = flag.String("trace", "605.mcf-1554B", "workload trace name")
 		traceFile = flag.String("tracefile", "", "binary trace file (from tracegen) instead of -trace")
-		pf        = flag.String("prefetcher", "none", "prefetcher: none|ip-stride|ipcp|bingo|spp-ppf|berti")
+		pf        = flag.String("prefetcher", "none", "prefetcher: none|"+strings.Join(secpref.Prefetchers(), "|"))
 		mode      = flag.String("mode", "on-access", "prefetch mode: on-access|on-commit|ts")
 		secure    = flag.Bool("secure", false, "use the GhostMinion secure cache system")
 		suf       = flag.Bool("suf", false, "enable the Secure Update Filter")
@@ -147,7 +148,7 @@ func main() {
 	fmt.Printf("L1D APKI:         load=%.1f prefetch=%.1f commit=%.1f\n", ap.Load, ap.Prefetch, ap.Commit)
 	fmt.Printf("branch mispred:   %.2f%%\n", res.Core.MispredictRate()*100)
 	if !prefetch.IsNone(cfg.Prefetcher) {
-		home := prefetch.HomeOf(cfg.Prefetcher)
+		home := sim.HomeOf(cfg.Prefetcher)
 		fmt.Printf("pref accuracy:    %.1f%% (at %s)\n", res.PrefAccuracy(home)*100, home)
 	}
 	if cfg.Secure {
@@ -173,11 +174,4 @@ func writeFiles(dir string, files []export.File) error {
 		fmt.Fprintf(os.Stderr, "secpref: wrote %s\n", filepath.Join(dir, f.Name))
 	}
 	return nil
-}
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

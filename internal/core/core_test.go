@@ -102,32 +102,11 @@ func TestXLQStorageBudget(t *testing.T) {
 	}
 }
 
-// tunable is a DistanceTunable stub.
-type tunable struct {
-	prefetch.None
-	d int
-}
-
-func (s *tunable) Distance() int     { return s.d }
-func (s *tunable) SetDistance(d int) { s.d = clamp(d, 1, 8) }
-func (s *tunable) BaseDistance() int { return 1 }
-func (s *tunable) MaxDistance() int  { return 8 }
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 func TestLatenessMonitorRaisesDistance(t *testing.T) {
-	pf := &tunable{d: 1}
+	d := prefetch.NewDistance(1, 8, prefetch.DefaultLateness)
 	var late, useful uint64
-	m := NewLatenessMonitor(pf, DefaultLateness, 0, func() (uint64, uint64) { return late, useful })
-	interval := IntervalFor(pf.Home())
+	interval := IntervalFor(mem.LvlL1D)
+	m := NewLatenessMonitor(&d, interval, func() (uint64, uint64) { return late, useful })
 	// Three intervals with rising lateness: interval 1 ratio 0.2,
 	// interval 2 ratio 0.4, interval 3 ratio 0.6. The increment fires
 	// after the second consecutive rise (end of interval 3).
@@ -139,8 +118,8 @@ func TestLatenessMonitorRaisesDistance(t *testing.T) {
 			m.OnMiss(mem.Addr(0x400 + 4*(i%32))) // stable PC set: no phase change
 		}
 	}
-	if pf.d != 2 {
-		t.Errorf("distance = %d after two rising intervals, want 2", pf.d)
+	if d.Cur != 2 {
+		t.Errorf("distance = %d after two rising intervals, want 2", d.Cur)
 	}
 	if m.Adaptations != 1 {
 		t.Errorf("Adaptations = %d", m.Adaptations)
@@ -148,10 +127,10 @@ func TestLatenessMonitorRaisesDistance(t *testing.T) {
 }
 
 func TestLatenessMonitorStableLatenessHolds(t *testing.T) {
-	pf := &tunable{d: 1}
+	d := prefetch.NewDistance(1, 8, prefetch.DefaultLateness)
 	var late, useful uint64
-	m := NewLatenessMonitor(pf, DefaultLateness, 0, func() (uint64, uint64) { return late, useful })
-	interval := IntervalFor(pf.Home())
+	interval := IntervalFor(mem.LvlL1D)
+	m := NewLatenessMonitor(&d, interval, func() (uint64, uint64) { return late, useful })
 	for k := 0; k < 5; k++ {
 		useful += 100
 		late += 30 // constant ratio 0.3 > threshold but not rising
@@ -159,14 +138,15 @@ func TestLatenessMonitorStableLatenessHolds(t *testing.T) {
 			m.OnMiss(mem.Addr(0x400 + 4*(i%32)))
 		}
 	}
-	if pf.d != 1 {
-		t.Errorf("distance = %d under steady lateness, want 1 (needs two RISING intervals)", pf.d)
+	if d.Cur != 1 {
+		t.Errorf("distance = %d under steady lateness, want 1 (needs two RISING intervals)", d.Cur)
 	}
 }
 
 func TestPhaseChangeResetsDistance(t *testing.T) {
-	pf := &tunable{d: 5}
-	m := NewLatenessMonitor(pf, DefaultLateness, 0, func() (uint64, uint64) { return 0, 0 })
+	d := prefetch.NewDistance(1, 8, prefetch.DefaultLateness)
+	d.Set(5)
+	m := NewLatenessMonitor(&d, IntervalFor(mem.LvlL1D), func() (uint64, uint64) { return 0, 0 })
 	// Window 1: PC set A. Window 2: disjoint PC set B -> phase change.
 	for i := 0; i < phaseWindow; i++ {
 		m.OnMiss(mem.Addr(0x1000 + 4*(i%16)))
@@ -174,8 +154,8 @@ func TestPhaseChangeResetsDistance(t *testing.T) {
 	for i := 0; i < phaseWindow+1; i++ {
 		m.OnMiss(mem.Addr(0x9_0000 + 4*(i%16)))
 	}
-	if pf.d != 1 {
-		t.Errorf("distance = %d after phase change, want reset to 1", pf.d)
+	if d.Cur != 1 {
+		t.Errorf("distance = %d after phase change, want reset to 1", d.Cur)
 	}
 	if m.Resets == 0 {
 		t.Error("no reset recorded")

@@ -14,9 +14,8 @@ import (
 // prefetch distance is incremented; single-interval decisions were
 // found too noisy. A phase change resets the distance to the base.
 type LatenessMonitor struct {
-	pf        prefetch.DistanceTunable
-	interval  uint64
-	threshold float64
+	dist     *prefetch.Distance
+	interval uint64
 
 	// source returns cumulative (late, useful) prefetch counts at the
 	// home level; the monitor differences them per interval.
@@ -36,14 +35,6 @@ type LatenessMonitor struct {
 	Resets      uint64
 }
 
-// DefaultLateness is the paper's lateness threshold (0.14 for all
-// prefetchers except Bingo, which uses 0.05 because its late-prefetch
-// population is smaller).
-const (
-	DefaultLateness = 0.14
-	BingoLateness   = 0.05
-)
-
 // IntervalFor returns the monitoring interval for a prefetcher's home
 // level: 512 misses at L1D (L1D size in lines), 4096 at L2 (half the
 // L2's lines).
@@ -54,20 +45,13 @@ func IntervalFor(home mem.Level) uint64 {
 	return 512
 }
 
-// NewLatenessMonitor wires a monitor to a distance-tunable prefetcher.
-// source reports cumulative (late, useful) prefetch counts at the home
-// level (typically the home cache's PrefLate / PrefUseful counters).
-// interval overrides the per-level default when non-zero.
-func NewLatenessMonitor(pf prefetch.DistanceTunable, threshold float64, interval uint64, source func() (late, useful uint64)) *LatenessMonitor {
-	if interval == 0 {
-		interval = IntervalFor(pf.Home())
-	}
-	return &LatenessMonitor{
-		pf:        pf,
-		interval:  interval,
-		threshold: threshold,
-		source:    source,
-	}
+// NewLatenessMonitor wires a monitor to a prefetcher's distance, which
+// it raises above dist.Lateness. interval is the monitoring interval in
+// misses (IntervalFor gives the paper's). source reports cumulative
+// (late, useful) prefetch counts at the home level (typically the home
+// cache's PrefLate / PrefUseful counters).
+func NewLatenessMonitor(dist *prefetch.Distance, interval uint64, source func() (late, useful uint64)) *LatenessMonitor {
+	return &LatenessMonitor{dist: dist, interval: interval, source: source}
 }
 
 // OnMiss advances the interval counter; the caller invokes it on every
@@ -75,7 +59,7 @@ func NewLatenessMonitor(pf prefetch.DistanceTunable, threshold float64, interval
 // phase detection.
 func (m *LatenessMonitor) OnMiss(ip mem.Addr) {
 	if m.phase.Observe(ip) {
-		m.pf.SetDistance(m.pf.BaseDistance())
+		m.dist.Cur = m.dist.Base
 		m.Resets++
 		m.misses = 0
 		m.baseLate, m.baseUseful = m.source()
@@ -107,11 +91,11 @@ func (m *LatenessMonitor) endInterval() {
 	} else if dl > 0 {
 		ratio = 1
 	}
-	rising := m.havePrev && ratio > m.prevRatio && ratio > m.threshold
+	rising := m.havePrev && ratio > m.prevRatio && ratio > m.dist.Lateness
 	if rising && m.prevRising {
 		// Two consecutive rising intervals above threshold: reach
 		// further ahead.
-		m.pf.SetDistance(m.pf.Distance() + 1)
+		m.dist.Set(m.dist.Cur + 1)
 		m.Adaptations++
 		rising = false // restart the hysteresis
 	}

@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (see DESIGN.md for the experiment index). Each
 // Fig* / Table* method produces a text table with the same series the
-// paper plots; cmd/experiments prints them and bench_test.go wraps them
-// in benchmarks.
+// paper plots; cmd/experiments prints them.
 //
 // Every simulation the runner starts goes through one memo, keyed by
 // the run's full input: its kind (single-core, audited, SMT, multicore,
@@ -25,7 +24,6 @@ import (
 	"secpref/internal/export"
 	"secpref/internal/mem"
 	"secpref/internal/observatory"
-	"secpref/internal/prefetch"
 	"secpref/internal/probe"
 	"secpref/internal/sim"
 	"secpref/internal/trace"
@@ -33,7 +31,7 @@ import (
 )
 
 // Prefetchers lists the evaluated engines in the paper's plot order.
-var Prefetchers = []string{"ip-stride", "ipcp", "bingo", "spp-ppf", "berti"}
+var Prefetchers = sim.PrefetcherNames()
 
 // Options size the experiment campaign.
 type Options struct {
@@ -166,7 +164,7 @@ func (v cfgVariant) config(opts Options) sim.Config {
 	// 200M-instruction runs; scale the L2 prefetchers' interval down so
 	// the adaptation can engage at harness scale (L1D's 512 already
 	// completes many intervals; see sim.Config.LatenessInterval).
-	if opts.Instrs < 10_000_000 && prefetch.HomeOf(v.prefetcher) == mem.LvlL2 {
+	if opts.Instrs < 10_000_000 && sim.HomeOf(v.prefetcher) == mem.LvlL2 {
 		cfg.LatenessInterval = 512
 	}
 	if v.edit != nil {

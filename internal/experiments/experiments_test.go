@@ -30,11 +30,7 @@ func TestStaticTables(t *testing.T) {
 	if !strings.Contains(t2.String(), "352-entry ROB") {
 		t.Errorf("Table2 missing core parameters:\n%s", t2)
 	}
-	t3, err := Table3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(t3.Rows) != len(Prefetchers) {
+	if t3 := Table3(); len(t3.Rows) != len(Prefetchers) {
 		t.Errorf("Table3 rows = %d", len(t3.Rows))
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"secpref/internal/prefetch"
 	"secpref/internal/sim"
 )
 
@@ -310,7 +309,7 @@ func (r *Runner) Fig13() (*Table, error) {
 		Header: []string{"prefetcher", "on-access/non-secure", "on-commit/secure", "on-commit/secure+SUF", "TS/secure"},
 	}
 	for _, pf := range Prefetchers {
-		home := prefetch.HomeOf(pf)
+		home := sim.HomeOf(pf)
 		metric := func(res *sim.Result) float64 { return res.PrefAccuracy(home) * 100 }
 		acc, err := r.metric(onAccessNonSecure(pf), metric)
 		if err != nil {

@@ -15,7 +15,7 @@ type experiment struct {
 var registry = []experiment{
 	{"table1", false, func(*Runner) (*Table, error) { return Table1(), nil }},
 	{"table2", false, func(*Runner) (*Table, error) { return Table2(), nil }},
-	{"table3", false, func(*Runner) (*Table, error) { return Table3() }},
+	{"table3", false, func(*Runner) (*Table, error) { return Table3(), nil }},
 	{"fig1", false, (*Runner).Fig1},
 	{"fig3", false, (*Runner).Fig3},
 	{"fig4", false, (*Runner).Fig4},

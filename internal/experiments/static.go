@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"secpref/internal/mem"
-	"secpref/internal/prefetch"
 	"secpref/internal/sim"
 )
 
@@ -61,8 +60,9 @@ func Table2() *Table {
 }
 
 // Table3 reproduces Table III: the evaluated prefetcher configurations
-// and storage budgets, read from the implementations.
-func Table3() (*Table, error) {
+// and storage budgets, read from the simulator's prefetcher table and
+// the implementations.
+func Table3() *Table {
 	t := &Table{
 		ID:     "table3",
 		Title:  "Prefetcher configurations (paper Table III)",
@@ -75,14 +75,11 @@ func Table3() (*Table, error) {
 		"spp-ppf":   "256-entry ST, 512x4 PT, 8-entry GHR, perceptron filter 4096x4+2048x2+1024x2+128x1",
 		"berti":     "128-entry history table, 16-entry delta table x 16 deltas, timely-delta learning",
 	}
-	for _, name := range Prefetchers {
-		pf, err := prefetch.New(name, func(mem.Line, mem.Addr, mem.Level) bool { return true })
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(name, pf.Home().String(), fmt.Sprintf("%.2f KB", float64(pf.StorageBytes())/1024), desc[name])
+	for _, spec := range sim.Prefetchers {
+		pf, _ := spec.New(func(mem.Line, mem.Addr, mem.Level) bool { return true })
+		t.AddRow(spec.Name, spec.Home.String(), fmt.Sprintf("%.2f KB", float64(pf.StorageBytes())/1024), desc[spec.Name])
 	}
 	t.Notes = append(t.Notes,
 		"SUF adds 0.12 KB (2b x 128 LQ + 1b x 768 L1D lines); the TSB X-LQ adds 0.47 KB — 0.59 KB/core total (paper abstract)")
-	return t, nil
+	return t
 }

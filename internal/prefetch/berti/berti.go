@@ -127,12 +127,6 @@ type Prefetcher struct {
 	TrainCalls, ObserveCalls, IssueAttempts uint64
 }
 
-func init() {
-	prefetch.Register("berti", func(issue prefetch.Issuer) prefetch.Prefetcher {
-		return New(issue)
-	})
-}
-
 // New builds a Berti prefetcher.
 func New(issue prefetch.Issuer) *Prefetcher {
 	p := &Prefetcher{issue: issue}
@@ -141,12 +135,6 @@ func New(issue prefetch.Issuer) *Prefetcher {
 	}
 	return p
 }
-
-// Name implements prefetch.Prefetcher.
-func (p *Prefetcher) Name() string { return "berti" }
-
-// Home implements prefetch.Prefetcher: Berti is an L1D prefetcher.
-func (p *Prefetcher) Home() mem.Level { return mem.LvlL1D }
 
 // StorageBytes implements prefetch.Prefetcher (Table III: 2.55 KB).
 func (p *Prefetcher) StorageBytes() int { return 2611 }

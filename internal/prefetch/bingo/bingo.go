@@ -27,6 +27,9 @@ const (
 
 	baseDistance = 1
 	maxDistance  = 8
+	// lateness is TS-Bingo's lateness threshold (§V-D), below the
+	// others' because its late-prefetch population is smaller.
+	lateness = 0.05
 )
 
 // The unsigned % (or mask) indexing over this table is a shift-and-
@@ -65,53 +68,23 @@ type phtEntry struct {
 
 // Prefetcher is the Bingo engine.
 type Prefetcher struct {
-	ft       [ftSize]ftEntry
-	at       [atSize]atEntry
-	pht      [phtSize]phtEntry
-	clock    uint32
-	issue    prefetch.Issuer
-	distance int
-}
-
-func init() {
-	prefetch.Register("bingo", func(issue prefetch.Issuer) prefetch.Prefetcher {
-		return New(issue)
-	})
+	ft    [ftSize]ftEntry
+	at    [atSize]atEntry
+	pht   [phtSize]phtEntry
+	clock uint32
+	issue prefetch.Issuer
+	// Distance rotates the replayed footprint: issue starts at its
+	// Cur-th first touch.
+	Distance prefetch.Distance
 }
 
 // New builds a Bingo prefetcher.
 func New(issue prefetch.Issuer) *Prefetcher {
-	return &Prefetcher{issue: issue, distance: baseDistance}
+	return &Prefetcher{issue: issue, Distance: prefetch.NewDistance(baseDistance, maxDistance, lateness)}
 }
-
-// Name implements prefetch.Prefetcher.
-func (p *Prefetcher) Name() string { return "bingo" }
-
-// Home implements prefetch.Prefetcher: Bingo is an L2 prefetcher.
-func (p *Prefetcher) Home() mem.Level { return mem.LvlL2 }
 
 // StorageBytes implements prefetch.Prefetcher (Table III: 124 KB).
 func (p *Prefetcher) StorageBytes() int { return 124 * 1024 }
-
-// Distance implements prefetch.DistanceTunable.
-func (p *Prefetcher) Distance() int { return p.distance }
-
-// SetDistance implements prefetch.DistanceTunable.
-func (p *Prefetcher) SetDistance(d int) {
-	if d < baseDistance {
-		d = baseDistance
-	}
-	if d > maxDistance {
-		d = maxDistance
-	}
-	p.distance = d
-}
-
-// BaseDistance implements prefetch.DistanceTunable.
-func (p *Prefetcher) BaseDistance() int { return baseDistance }
-
-// MaxDistance implements prefetch.DistanceTunable.
-func (p *Prefetcher) MaxDistance() int { return maxDistance }
 
 // hashPCAddr builds the "PC+Address" long-event PHT index/tag.
 func hashPCAddr(ip mem.Addr, region uint64, off uint8) (int, uint32) {
@@ -182,7 +155,7 @@ func (p *Prefetcher) predict(ip mem.Addr, region uint64, off uint8) {
 		return
 	}
 	base := region * regionLines
-	start := p.distance - 1
+	start := p.Distance.Cur - 1
 	if start >= len(order) {
 		start = 0
 	}

@@ -81,7 +81,7 @@ func TestDistanceRotatesIssueOrder(t *testing.T) {
 	mk := func(dist int) []mem.Line {
 		got, issue := capture()
 		p := New(issue)
-		p.SetDistance(dist)
+		p.Distance.Set(dist)
 		footprint := []uint8{1, 4, 8, 15, 23}
 		for reg := uint64(0); reg < atSize+4; reg++ {
 			visitRegion(p, reg, 0x40c, footprint)
@@ -97,18 +97,5 @@ func TestDistanceRotatesIssueOrder(t *testing.T) {
 	}
 	if d1[0] == d3[0] {
 		t.Error("TS-Bingo distance did not rotate the temporal issue order")
-	}
-}
-
-func TestRegistered(t *testing.T) {
-	pf, err := prefetch.New("bingo", func(mem.Line, mem.Addr, mem.Level) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf.Home() != mem.LvlL2 {
-		t.Errorf("Bingo home = %v, want L2", pf.Home())
-	}
-	if kb := pf.StorageBytes() / 1024; kb != 124 {
-		t.Errorf("storage %d KB, want 124 KB (Table III)", kb)
 	}
 }

@@ -74,29 +74,3 @@ func TestClassifierShadowWindowBounded(t *testing.T) {
 		t.Error("expired shadow entry still classified as covered")
 	}
 }
-
-func TestRegistryUnknown(t *testing.T) {
-	if _, err := New("no-such-prefetcher", nil); err == nil {
-		t.Fatal("expected unknown-prefetcher error")
-	}
-}
-
-func TestNames(t *testing.T) {
-	names := Names()
-	if len(names) == 0 {
-		t.Skip("no prefetchers linked into this test binary")
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Error("names not sorted")
-		}
-	}
-}
-
-func TestNone(t *testing.T) {
-	var n None
-	if n.Name() != "none" || n.StorageBytes() != 0 {
-		t.Error("None misbehaves")
-	}
-	n.Train(Event{})
-}

@@ -83,48 +83,17 @@ type Prefetcher struct {
 	rst      [rstSize]rstEntry
 	rstClock uint32
 	issue    prefetch.Issuer
-	distance int
-}
-
-func init() {
-	prefetch.Register("ipcp", func(issue prefetch.Issuer) prefetch.Prefetcher {
-		return New(issue)
-	})
+	// Distance scales how far ahead each class's engine reaches.
+	Distance prefetch.Distance
 }
 
 // New builds an IPCP prefetcher.
 func New(issue prefetch.Issuer) *Prefetcher {
-	return &Prefetcher{issue: issue, distance: baseDistance}
+	return &Prefetcher{issue: issue, Distance: prefetch.NewDistance(baseDistance, maxDistance, prefetch.DefaultLateness)}
 }
-
-// Name implements prefetch.Prefetcher.
-func (p *Prefetcher) Name() string { return "ipcp" }
-
-// Home implements prefetch.Prefetcher: IPCP is an L1D prefetcher.
-func (p *Prefetcher) Home() mem.Level { return mem.LvlL1D }
 
 // StorageBytes implements prefetch.Prefetcher (Table III: 0.87 KB).
 func (p *Prefetcher) StorageBytes() int { return 891 }
-
-// Distance implements prefetch.DistanceTunable.
-func (p *Prefetcher) Distance() int { return p.distance }
-
-// SetDistance implements prefetch.DistanceTunable.
-func (p *Prefetcher) SetDistance(d int) {
-	if d < baseDistance {
-		d = baseDistance
-	}
-	if d > maxDistance {
-		d = maxDistance
-	}
-	p.distance = d
-}
-
-// BaseDistance implements prefetch.DistanceTunable.
-func (p *Prefetcher) BaseDistance() int { return baseDistance }
-
-// MaxDistance implements prefetch.DistanceTunable.
-func (p *Prefetcher) MaxDistance() int { return maxDistance }
 
 func ipSlot(ip mem.Addr) (int, uint16) {
 	h := uint64(ip) >> 2
@@ -204,13 +173,13 @@ func (p *Prefetcher) issueFor(e *ipEntry, ev prefetch.Event) {
 			fill = mem.LvlL2
 		}
 		for d := 0; d < csDegree; d++ {
-			t := mem.Line(int64(ev.Line) + int64(e.stride)*int64(p.distance+d))
+			t := mem.Line(int64(ev.Line) + int64(e.stride)*int64(p.Distance.Cur+d))
 			p.issue(t, ev.IP, fill)
 		}
 	case classCPLX:
 		sig := e.sig
 		cur := int64(ev.Line)
-		for d := 0; d < cplxDegree*p.distance; d++ {
+		for d := 0; d < cplxDegree*p.Distance.Cur; d++ {
 			ce := p.cspt[sig]
 			if ce.conf < 2 || ce.stride == 0 {
 				break
@@ -222,7 +191,7 @@ func (p *Prefetcher) issueFor(e *ipEntry, ev prefetch.Event) {
 	case classGS:
 		dir := p.streamDir(ev.Line)
 		for d := 1; d <= gsDegree; d++ {
-			t := mem.Line(int64(ev.Line) + int64(dir)*int64(p.distance-1+d))
+			t := mem.Line(int64(ev.Line) + int64(dir)*int64(p.Distance.Cur-1+d))
 			p.issue(t, ev.IP, mem.LvlL1D)
 		}
 	}

@@ -80,22 +80,8 @@ func TestRandomQuiet(t *testing.T) {
 
 func TestDistanceTunable(t *testing.T) {
 	p := New(func(mem.Line, mem.Addr, mem.Level) bool { return true })
-	var dt prefetch.DistanceTunable = p
-	dt.SetDistance(100)
-	if dt.Distance() != dt.MaxDistance() {
-		t.Errorf("distance clamp failed: %d", dt.Distance())
-	}
-}
-
-func TestRegistered(t *testing.T) {
-	pf, err := prefetch.New("ipcp", func(mem.Line, mem.Addr, mem.Level) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf.Home() != mem.LvlL1D {
-		t.Errorf("IPCP home = %v, want L1D", pf.Home())
-	}
-	if kb := float64(pf.StorageBytes()) / 1024; kb < 0.8 || kb > 1.0 {
-		t.Errorf("storage %.2f KB, want ~0.87 KB (Table III)", kb)
+	p.Distance.Set(100)
+	if p.Distance.Cur != maxDistance {
+		t.Errorf("distance clamp failed: %d", p.Distance.Cur)
 	}
 }

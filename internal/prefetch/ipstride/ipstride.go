@@ -37,50 +37,19 @@ type entry struct {
 
 // Prefetcher is the IP-stride engine.
 type Prefetcher struct {
-	table    [tableSize]entry
-	issue    prefetch.Issuer
-	distance int
-}
-
-func init() {
-	prefetch.Register("ip-stride", func(issue prefetch.Issuer) prefetch.Prefetcher {
-		return New(issue)
-	})
+	table [tableSize]entry
+	issue prefetch.Issuer
+	// Distance is the stride multiple the first prefetch reaches.
+	Distance prefetch.Distance
 }
 
 // New builds an IP-stride prefetcher.
 func New(issue prefetch.Issuer) *Prefetcher {
-	return &Prefetcher{issue: issue, distance: baseDistance}
+	return &Prefetcher{issue: issue, Distance: prefetch.NewDistance(baseDistance, maxDistance, prefetch.DefaultLateness)}
 }
-
-// Name implements prefetch.Prefetcher.
-func (p *Prefetcher) Name() string { return "ip-stride" }
-
-// Home implements prefetch.Prefetcher: IP-stride is an L1D prefetcher.
-func (p *Prefetcher) Home() mem.Level { return mem.LvlL1D }
 
 // StorageBytes implements prefetch.Prefetcher (Table III: 8 KB).
 func (p *Prefetcher) StorageBytes() int { return 8 * 1024 }
-
-// Distance implements prefetch.DistanceTunable.
-func (p *Prefetcher) Distance() int { return p.distance }
-
-// SetDistance implements prefetch.DistanceTunable.
-func (p *Prefetcher) SetDistance(d int) {
-	if d < baseDistance {
-		d = baseDistance
-	}
-	if d > maxDistance {
-		d = maxDistance
-	}
-	p.distance = d
-}
-
-// BaseDistance implements prefetch.DistanceTunable.
-func (p *Prefetcher) BaseDistance() int { return baseDistance }
-
-// MaxDistance implements prefetch.DistanceTunable.
-func (p *Prefetcher) MaxDistance() int { return maxDistance }
 
 func slotOf(ip mem.Addr) (int, uint32) {
 	h := uint64(ip) >> 2
@@ -114,7 +83,7 @@ func (p *Prefetcher) Train(ev prefetch.Event) {
 	e.last = ev.Line
 	if e.conf >= confThres && e.stride != 0 {
 		for d := 0; d < degree; d++ {
-			target := mem.Line(int64(ev.Line) + e.stride*int64(p.distance+d))
+			target := mem.Line(int64(ev.Line) + e.stride*int64(p.Distance.Cur+d))
 			p.issue(target, ev.IP, mem.LvlL1D)
 		}
 	}

@@ -94,13 +94,13 @@ func TestPerIPIsolation(t *testing.T) {
 
 func TestDistanceClamping(t *testing.T) {
 	p := New(func(mem.Line, mem.Addr, mem.Level) bool { return true })
-	p.SetDistance(-3)
-	if p.Distance() != p.BaseDistance() {
-		t.Errorf("distance %d after clamping below base", p.Distance())
+	p.Distance.Set(-3)
+	if p.Distance.Cur != baseDistance {
+		t.Errorf("distance %d after clamping below base", p.Distance.Cur)
 	}
-	p.SetDistance(1000)
-	if p.Distance() != p.MaxDistance() {
-		t.Errorf("distance %d after clamping above max", p.Distance())
+	p.Distance.Set(1000)
+	if p.Distance.Cur != maxDistance {
+		t.Errorf("distance %d after clamping above max", p.Distance.Cur)
 	}
 }
 
@@ -111,7 +111,7 @@ func TestDistanceShiftsTargets(t *testing.T) {
 
 	got2, issue2 := capture()
 	p2 := New(issue2)
-	p2.SetDistance(4)
+	p2.Distance.Set(4)
 	train(p2, 0x600, 100, 101, 102, 103, 104)
 
 	max1, max2 := mem.Line(0), mem.Line(0)
@@ -127,18 +127,5 @@ func TestDistanceShiftsTargets(t *testing.T) {
 	}
 	if max2 <= max1 {
 		t.Errorf("larger distance should reach further: %d vs %d", max2, max1)
-	}
-}
-
-func TestRegistered(t *testing.T) {
-	pf, err := prefetch.New("ip-stride", func(mem.Line, mem.Addr, mem.Level) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf.Name() != "ip-stride" || pf.Home() != mem.LvlL1D {
-		t.Errorf("registration wrong: %s at %v", pf.Name(), pf.Home())
-	}
-	if pf.StorageBytes() != 8*1024 {
-		t.Errorf("storage = %d, want 8 KB (Table III)", pf.StorageBytes())
 	}
 }

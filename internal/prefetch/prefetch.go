@@ -1,7 +1,9 @@
 // Package prefetch defines the hardware-prefetcher framework: the
-// training-event model, the issue interface, and registration of the
-// five prefetchers evaluated by the paper (IP-stride, IPCP, Bingo,
-// SPP+PPF, Berti) plus their timely-secure variants.
+// training-event model, the issue interface, the lookahead distance the
+// timely-secure variants tune, and the Fig. 6 shadow classifier. The
+// five prefetchers the paper evaluates (IP-stride, IPCP, Bingo,
+// SPP+PPF, Berti) live in the subpackages; the simulator's table
+// (sim.Prefetchers) names each and records the cache level it lives at.
 //
 // A prefetcher does not know whether it is being trained on-access or
 // on-commit: the simulator decides which event stream (speculative
@@ -9,13 +11,7 @@
 // framing, where the same predictor is moved between pipeline stages.
 package prefetch
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-
-	"secpref/internal/mem"
-)
+import "secpref/internal/mem"
 
 // Event is one training observation at the prefetcher's home level.
 type Event struct {
@@ -44,101 +40,37 @@ type Issuer func(line mem.Line, ip mem.Addr, fill mem.Level) bool
 
 // Prefetcher is the common interface of all modeled prefetchers.
 type Prefetcher interface {
-	// Name identifies the prefetcher ("berti", "ipcp", ...).
-	Name() string
-	// Home is the cache level the prefetcher trains at and issues from:
-	// L1D for IP-stride, IPCP, and Berti; L2 for Bingo and SPP+PPF.
-	Home() mem.Level
 	// Train observes one demand access (or committed load).
 	Train(ev Event)
 	// StorageBytes reports the hardware budget (Table III).
 	StorageBytes() int
 }
 
-// DistanceTunable is implemented by prefetchers whose lookahead
-// distance the timely-secure machinery can adjust (IP-stride, IPCP,
-// Bingo, SPP+PPF — §V-D).
-type DistanceTunable interface {
-	Prefetcher
-	// Distance returns the current prefetch distance.
-	Distance() int
-	// SetDistance sets it, clamped to [base, max].
-	SetDistance(d int)
-	// BaseDistance and MaxDistance bound the adaptation.
-	BaseDistance() int
-	MaxDistance() int
+// DefaultLateness is the paper's lateness threshold (§V-D) for every
+// distance-tunable prefetcher but Bingo.
+const DefaultLateness = 0.14
+
+// Distance is the lookahead knob of a prefetcher that does not time
+// itself (IP-stride, IPCP, Bingo, SPP+PPF): the timely-secure variants
+// raise it when prefetches run late (§V-D). Each such prefetcher holds
+// one and issues Cur ahead.
+type Distance struct {
+	// Cur is the current distance, within [Base, Max].
+	Cur, Base, Max int
+	// Lateness is the late-to-useful prefetch ratio above which rising
+	// lateness raises the distance.
+	Lateness float64
 }
 
-// Factory builds a prefetcher bound to an issuer.
-type Factory func(issue Issuer) Prefetcher
-
-var factories = map[string]Factory{}
-
-// Register installs a prefetcher factory under name. Prefetcher
-// packages call it from init.
-func Register(name string, f Factory) {
-	if _, dup := factories[name]; dup {
-		panic(fmt.Sprintf("prefetch: duplicate registration of %q", name))
-	}
-	factories[name] = f
+// NewDistance returns a distance at base that rises to at most limit
+// when lateness passes the given threshold.
+func NewDistance(base, limit int, lateness float64) Distance {
+	return Distance{Cur: base, Base: base, Max: limit, Lateness: lateness}
 }
 
-// New builds the named prefetcher, or an error listing known names.
-func New(name string, issue Issuer) (Prefetcher, error) {
-	f, ok := factories[name]
-	if !ok {
-		return nil, fmt.Errorf("prefetch: unknown prefetcher %q (known: %v)", name, Names())
-	}
-	return f(issue), nil
-}
+// Set sets the current distance to v, clamped to [Base, Max].
+func (d *Distance) Set(v int) { d.Cur = min(max(v, d.Base), d.Max) }
 
-var (
-	homesMu sync.Mutex
-	homes   = map[string]mem.Level{}
-)
-
-// HomeOf returns the cache level the named prefetcher lives at, as its
-// Home reports it; "none" and unregistered names live at the L1D, as
-// None does. The first call for a name builds one instance of it.
-func HomeOf(name string) mem.Level {
-	homesMu.Lock()
-	defer homesMu.Unlock()
-	home, ok := homes[name]
-	if !ok {
-		home = None{}.Home()
-		if p, err := New(name, func(mem.Line, mem.Addr, mem.Level) bool { return false }); err == nil {
-			home = p.Home()
-		}
-		homes[name] = home
-	}
-	return home
-}
-
-// Names returns the registered prefetcher names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(factories))
-	for n := range factories {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// IsNone reports whether name selects no prefetcher: "" and None's
-// name both do.
-func IsNone(name string) bool { return name == "" || name == None{}.Name() }
-
-// None is the no-prefetching placeholder.
-type None struct{}
-
-// Name implements Prefetcher.
-func (None) Name() string { return "none" }
-
-// Home implements Prefetcher.
-func (None) Home() mem.Level { return mem.LvlL1D }
-
-// Train implements Prefetcher.
-func (None) Train(Event) {}
-
-// StorageBytes implements Prefetcher.
-func (None) StorageBytes() int { return 0 }
+// IsNone reports whether name selects no prefetcher: "" and "none"
+// both do.
+func IsNone(name string) bool { return name == "" || name == "none" }

@@ -17,7 +17,7 @@
 // The timely-secure variant (TS-SPP+PPF, §V-D) keeps learning on
 // committed requests but skips the first k deltas of the signature
 // path before issuing, with k in [2,5] driven by measured prefetch
-// lateness; SetDistance supplies k.
+// lateness; Distance holds k.
 package spp
 
 import (
@@ -86,51 +86,20 @@ type Prefetcher struct {
 	ghr   [ghrSize]ghrEntry
 	clock uint32
 
-	filter   ppf
-	issue    prefetch.Issuer
-	distance int
-}
-
-func init() {
-	prefetch.Register("spp-ppf", func(issue prefetch.Issuer) prefetch.Prefetcher {
-		return New(issue)
-	})
+	filter ppf
+	issue  prefetch.Issuer
+	// Distance is the number of path deltas skipped before issuing (k
+	// in §V-D).
+	Distance prefetch.Distance
 }
 
 // New builds an SPP+PPF prefetcher.
 func New(issue prefetch.Issuer) *Prefetcher {
-	return &Prefetcher{issue: issue, distance: baseDistance}
+	return &Prefetcher{issue: issue, Distance: prefetch.NewDistance(baseDistance, maxDistance, prefetch.DefaultLateness)}
 }
-
-// Name implements prefetch.Prefetcher.
-func (p *Prefetcher) Name() string { return "spp-ppf" }
-
-// Home implements prefetch.Prefetcher: SPP+PPF is an L2 prefetcher.
-func (p *Prefetcher) Home() mem.Level { return mem.LvlL2 }
 
 // StorageBytes implements prefetch.Prefetcher (Table III: 39.2 KB).
 func (p *Prefetcher) StorageBytes() int { return 40140 }
-
-// Distance implements prefetch.DistanceTunable; for SPP the "distance"
-// is the number of path deltas skipped before issuing (k in §V-D).
-func (p *Prefetcher) Distance() int { return p.distance }
-
-// SetDistance implements prefetch.DistanceTunable.
-func (p *Prefetcher) SetDistance(d int) {
-	if d < baseDistance {
-		d = baseDistance
-	}
-	if d > maxDistance {
-		d = maxDistance
-	}
-	p.distance = d
-}
-
-// BaseDistance implements prefetch.DistanceTunable.
-func (p *Prefetcher) BaseDistance() int { return baseDistance }
-
-// MaxDistance implements prefetch.DistanceTunable.
-func (p *Prefetcher) MaxDistance() int { return maxDistance }
 
 func pageOf(l mem.Line) uint64 { return uint64(l) / pageLines }
 func offOf(l mem.Line) int8    { return int8(uint64(l) % pageLines) }
@@ -198,7 +167,7 @@ func (p *Prefetcher) lookahead(ev prefetch.Event, page uint64, off int8, sig uin
 			return
 		}
 		sig = sigUpdate(sig, d)
-		if depth <= p.distance {
+		if depth <= p.Distance.Cur {
 			continue // TS-SPP: skip the first k path steps
 		}
 		line := mem.Line(page*pageLines + uint64(curOff))

@@ -60,7 +60,7 @@ func TestTSSkipsFirstKDeltas(t *testing.T) {
 	mk := func(k int) map[mem.Line]bool {
 		got, issue := capture()
 		p := New(issue)
-		p.SetDistance(k)
+		p.Distance.Set(k)
 		line := mem.Line(0)
 		for i := 0; i < 200; i++ {
 			p.Train(prefetch.Event{Line: line, IP: 0x408})
@@ -116,18 +116,5 @@ func TestPPFLearnsToRejectUseless(t *testing.T) {
 	lateCount := len(*got)
 	if lateCount > early {
 		t.Errorf("PPF did not throttle useless prefetches: %d then %d", early, lateCount)
-	}
-}
-
-func TestRegistered(t *testing.T) {
-	pf, err := prefetch.New("spp-ppf", func(mem.Line, mem.Addr, mem.Level) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf.Home() != mem.LvlL2 {
-		t.Errorf("SPP home = %v, want L2", pf.Home())
-	}
-	if kb := float64(pf.StorageBytes()) / 1024; kb < 38 || kb > 41 {
-		t.Errorf("storage %.1f KB, want ~39.2 KB (Table III)", kb)
 	}
 }

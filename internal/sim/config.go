@@ -52,8 +52,8 @@ type Config struct {
 	Secure bool
 	// SUF enables the Secure Update Filter (requires Secure).
 	SUF bool
-	// Prefetcher names the engine: "none" (or ""), "ip-stride",
-	// "ipcp", "bingo", "spp-ppf", "berti".
+	// Prefetcher names the engine: "none" (or "") or a name in
+	// Prefetchers.
 	Prefetcher string
 	// Mode selects the training/trigger point.
 	Mode Mode
@@ -80,8 +80,8 @@ type Config struct {
 	DisableTLB bool
 
 	// LatenessThreshold overrides the TS adaptive-distance trigger
-	// (§V-D); zero selects the paper's values (0.14, or 0.05 for
-	// Bingo).
+	// (§V-D); zero selects the prefetcher's own (its Distance's
+	// Lateness, the paper's values).
 	LatenessThreshold float64
 	// LatenessInterval overrides the TS monitoring interval in misses;
 	// zero selects the paper's values (512 at L1D, 4096 at L2). The

@@ -48,7 +48,11 @@ type Machine struct {
 	// L1D otherwise.
 	loads cpu.LoadPort
 
-	pf         prefetch.Prefetcher
+	pf prefetch.Prefetcher
+	// home is the cache level pf lives at (the L1D without one); dist
+	// is its distance knob, nil unless it has one.
+	home       mem.Level
+	dist       *prefetch.Distance
 	bertiPF    *berti.Prefetcher
 	shadow     prefetch.Prefetcher
 	shadowBert *berti.Prefetcher
@@ -176,7 +180,7 @@ func (m *Machine) buildCore(src trace.Source, withPrefetcher bool) error {
 
 // homeCache returns the cache level the prefetcher lives at.
 func (m *Machine) homeCache() *cache.Cache {
-	if m.pf != nil && m.pf.Home() == mem.LvlL2 {
+	if m.home == mem.LvlL2 {
 		return m.l2
 	}
 	return m.l1d
@@ -186,7 +190,12 @@ func (m *Machine) buildPrefetcher() error {
 	if prefetch.IsNone(m.cfg.Prefetcher) {
 		return nil
 	}
-	name := m.cfg.Prefetcher
+	i := specIndex(m.cfg.Prefetcher)
+	if i < 0 {
+		return fmt.Errorf("sim: unknown prefetcher %q (known: %v)", m.cfg.Prefetcher, PrefetcherNames())
+	}
+	spec := Prefetchers[i]
+	m.home = spec.Home
 	// The issuer routes into the home cache's prefetch queue and
 	// notifies the classifier of real issues. On the secure system,
 	// commit-time prefetches probe the GM first: a line whose data is
@@ -202,28 +211,24 @@ func (m *Machine) buildPrefetcher() error {
 		}
 		return m.homeCache().Prefetch(line, ip, fill, m.now)
 	}
-	pf, err := prefetch.New(name, issuer)
-	if err != nil {
-		return err
-	}
-	m.pf = pf
-	if b, ok := pf.(*berti.Prefetcher); ok {
+	m.pf, m.dist = spec.New(issuer)
+	if b, ok := m.pf.(*berti.Prefetcher); ok {
 		m.bertiPF = b
 		b.MSHRFree = m.l1d.MSHRFree
 	}
 
 	// Timely-secure machinery for non-self-timing prefetchers.
 	if m.cfg.Mode == ModeTimelySecure {
-		if dt, ok := pf.(prefetch.DistanceTunable); ok {
-			threshold := seccore.DefaultLateness
-			if name == "bingo" {
-				threshold = seccore.BingoLateness
-			}
+		if m.dist != nil {
 			if m.cfg.LatenessThreshold > 0 {
-				threshold = m.cfg.LatenessThreshold
+				m.dist.Lateness = m.cfg.LatenessThreshold
+			}
+			interval := m.cfg.LatenessInterval
+			if interval == 0 {
+				interval = seccore.IntervalFor(m.home)
 			}
 			home := m.homeCache()
-			m.monitor = seccore.NewLatenessMonitor(dt, threshold, m.cfg.LatenessInterval, func() (uint64, uint64) {
+			m.monitor = seccore.NewLatenessMonitor(m.dist, interval, func() (uint64, uint64) {
 				return home.Stats.PrefLate, home.Stats.PrefUseful
 			})
 		}
@@ -234,13 +239,9 @@ func (m *Machine) buildPrefetcher() error {
 
 	if m.cfg.Classify {
 		m.classifier = prefetch.NewClassifier()
-		shadow, err := prefetch.New(name, m.classifier.ShadowIssue)
-		if err != nil {
-			return err
-		}
-		m.shadow = shadow
-		m.classifier.AttachShadow(shadow)
-		if sb, ok := shadow.(*berti.Prefetcher); ok {
+		m.shadow, _ = spec.New(m.classifier.ShadowIssue)
+		m.classifier.AttachShadow(m.shadow)
+		if sb, ok := m.shadow.(*berti.Prefetcher); ok {
 			m.shadowBert = sb
 		}
 	}
@@ -405,7 +406,7 @@ func (m *Machine) commitTrain(ci cpu.CommitInfo) {
 	if m.cfg.Mode == ModeOnAccess {
 		return
 	}
-	isL2 := m.pf.Home() == mem.LvlL2
+	isL2 := m.home == mem.LvlL2
 	ev := prefetch.Event{
 		Line:          ci.Line,
 		IP:            ci.IP,
@@ -609,8 +610,8 @@ func (m *Machine) result(traceName string, cycles mem.Cycle) *Result {
 		r.DistanceAdaptations = m.monitor.Adaptations
 		r.PhaseResets = m.monitor.Resets
 	}
-	if dt, ok := m.pf.(prefetch.DistanceTunable); ok {
-		r.FinalDistance = dt.Distance()
+	if m.dist != nil {
+		r.FinalDistance = m.dist.Cur
 	}
 	if m.suf != nil {
 		r.SUFDrops = m.suf.Drops

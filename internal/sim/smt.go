@@ -51,6 +51,8 @@ func BuildSMT(cfg Config, threads []trace.Source) ([]*Machine, error) {
 			// (it is part of the per-thread load queue).
 			first := machines[0]
 			m.pf = first.pf
+			m.home = first.home
+			m.dist = first.dist
 			m.bertiPF = first.bertiPF
 			m.monitor = first.monitor
 			m.classifier = first.classifier

@@ -36,7 +36,6 @@ import (
 	"secpref/internal/attack"
 	"secpref/internal/mem"
 	"secpref/internal/multicore"
-	"secpref/internal/prefetch"
 	"secpref/internal/sim"
 	"secpref/internal/trace"
 	"secpref/internal/workload"
@@ -80,8 +79,9 @@ func DefaultConfig() Config { return sim.DefaultConfig() }
 // seed 1).
 func DefaultWorkloadParams() WorkloadParams { return workload.DefaultParams() }
 
-// Prefetchers lists the available prefetcher names.
-func Prefetchers() []string { return prefetch.Names() }
+// Prefetchers lists the available prefetcher names, in the paper's plot
+// order.
+func Prefetchers() []string { return sim.PrefetcherNames() }
 
 // Workloads lists the available trace names (45 SPEC-like + 20
 // GAP-like, as in the paper's evaluation).
@@ -199,5 +199,5 @@ func SpectrePrefetchLeak(cfg AttackConfig, secret int) (AttackOutcome, error) {
 // named prefetcher, aggregating fills from its home level down (L1D for
 // ip-stride/ipcp/berti, L2 for bingo/spp-ppf).
 func PrefetcherAccuracy(res *Result, prefetcher string) float64 {
-	return res.PrefAccuracy(prefetch.HomeOf(prefetcher))
+	return res.PrefAccuracy(sim.HomeOf(prefetcher))
 }
