@@ -112,7 +112,8 @@ func (s *System) load(line mem.Line, ip mem.Addr, spec bool) (*mem.Request, mem.
 
 // CommittedLoad performs an architectural load: access, then commit
 // through the machine's commit path (the GhostMinion commit engine in
-// the secure system, and on-commit prefetcher training).
+// the secure system, and on-commit prefetcher training). The latency it
+// returns is the attacker's prime+probe timing measurement.
 func (s *System) CommittedLoad(line mem.Line, ip mem.Addr) (mem.Cycle, error) {
 	r, lat, err := s.load(line, ip, false)
 	if err != nil {
@@ -156,12 +157,6 @@ func (s *System) TransientLoads(lines []mem.Line, ip mem.Addr) error {
 	s.m.Squash(startSeq)
 	s.m.Drive(s.m.Now()+512, nil) // let in-flight traffic settle
 	return nil
-}
-
-// ProbeLatency measures the access latency of a line the attacker
-// architecturally loads (prime+probe timing measurement).
-func (s *System) ProbeLatency(line mem.Line, ip mem.Addr) (mem.Cycle, error) {
-	return s.CommittedLoad(line, ip)
 }
 
 // CachedThreshold is the latency below which a probe is considered a

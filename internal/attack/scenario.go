@@ -118,7 +118,7 @@ func (s *System) probeCandidates(secret, n int, line func(cand int) mem.Line) (O
 	best, bestLat := -1, mem.Cycle(1<<60)
 	lats := make([]mem.Cycle, n)
 	for cand := range lats {
-		lat, err := s.ProbeLatency(line(cand), attackerIP+mem.Addr(cand))
+		lat, err := s.CommittedLoad(line(cand), attackerIP+mem.Addr(cand))
 		if err != nil {
 			return Outcome{}, err
 		}
